@@ -13,9 +13,15 @@ everything that determines the result bit-for-bit.  Two layers:
   cells wanting the same artifact compute it exactly once while the
   losers wait;
 * an optional **on-disk store** (``cache_dir``) holding fingerprint
-  datasets and pre-trained GM states as ``.npz`` archives and finished
-  cell results as JSON, which is what makes partially completed sweeps
-  resumable across processes.
+  datasets, pre-trained GM states and client updates as ``.npz``
+  archives and finished cell results as JSON, which is what makes
+  partially completed sweeps resumable across processes.
+
+Client updates live in the memo as private array copies: a hit hands
+out a fresh copy, and a store copies the caller's update in.  Their
+``.npz`` encoding (:func:`encode_update` / :func:`decode_update`) runs
+only on the disk layer.  A disk entry that fails to read or decode —
+a killed writer or tampering — is deleted and recomputed, never raised.
 
 Keys include a schema version; bump :data:`SCHEMA_VERSION` whenever the
 meaning of a cached payload changes.
@@ -24,11 +30,12 @@ meaning of a cached payload changes.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, cast
 
 import numpy as np
 
@@ -226,24 +233,25 @@ class ArtifactCache:
     ) -> Tuple[ClientUpdate, bool]:
         """One client's update for one (round, broadcast-state) pairing.
 
-        The cache stores the *encoded* ``.npz`` bytes (the same format
-        the disk layer persists), and every lookup — hit or miss —
-        returns a freshly decoded :class:`ClientUpdate`, so cached
-        updates never alias arrays a caller could mutate and the
-        in-memory and on-disk hit paths are byte-for-byte the same.
+        A hit returns a fresh copy of the cached update; a miss computes
+        the update, stores a copy of it and hands the caller's own update
+        back.  Either way the caller never aliases a cache entry.  The
+        ``.npz`` encoding runs only when ``cache_dir`` is set, to persist
+        the entry or to load one a previous run persisted.
         """
-        encoded, hit = self.get_or_compute(
-            "federate",
-            key,
-            lambda: encode_update(compute()),
-            load_disk=_read_bytes,
-            save_disk=_write_bytes,
-            suffix=".npz",
-        )
-        return decode_update(encoded), hit
+        with self._locks.lock(("federate", key)):
+            cached = self._load_update(key)
+            if cached is None:
+                update = compute()
+                self._save_update(key, update)
+        self.stats.record("federate", hit=cached is not None)
+        if cached is None:
+            return update, False
+        return _copy_update(cached), True
 
     def peek_client_update(self, key: str) -> Optional[ClientUpdate]:
-        """The cached update for ``key``, or ``None`` — never computes.
+        """A fresh copy of the cached update for ``key``, or ``None`` —
+        never computes.
 
         The probe half of the batched client engine's consult/populate
         split: a cohort probes every fold first, trains only the misses in
@@ -253,48 +261,63 @@ class ArtifactCache:
         engines that call :meth:`get_client_update` report identical
         counter totals for identical work.
         """
-        memo_key = ("federate", key)
-        with self._locks.lock(memo_key):
-            with self._memo_lock:
-                encoded = self._memo.get(memo_key)
-            if encoded is None:
-                path = self._path("federate", key, ".npz")
-                if path and os.path.exists(path):
-                    try:
-                        encoded = _read_bytes(path)
-                    except OSError:
-                        with contextlib.suppress(OSError):
-                            os.remove(path)
-                        encoded = None
-                    else:
-                        with self._memo_lock:
-                            self._memo[memo_key] = encoded
-        if encoded is None:
-            self.stats.record("federate", hit=False)
-            return None
-        self.stats.record("federate", hit=True)
-        return decode_update(encoded)
+        with self._locks.lock(("federate", key)):
+            cached = self._load_update(key)
+        self.stats.record("federate", hit=cached is not None)
+        return None if cached is None else _copy_update(cached)
 
     def store_client_update(self, key: str, update: ClientUpdate) -> ClientUpdate:
-        """Store one computed update; returns the decoded round-trip copy.
+        """Store a copy of one computed update; returns ``update`` itself.
 
         Counterpart of :meth:`peek_client_update` (which already counted
-        the miss).  Returns ``decode(encode(update))`` so callers consume
-        exactly what a later cache hit would return — byte-for-byte the
-        same arrays, never aliasing the caller's tensors.
+        the miss).  The memo keeps its own copy of the arrays, so the
+        caller may go on mutating ``update`` without changing what a later
+        hit returns.
         """
-        encoded = encode_update(update)
+        with self._locks.lock(("federate", key)):
+            self._save_update(key, update)
+        return update
+
+    def _load_update(self, key: str) -> Optional[ClientUpdate]:
+        """The memo's update for ``key``, else the disk entry, else ``None``.
+
+        Callers hold the key's lock and must not mutate the result.  A
+        disk entry is decoded once, kept in the memo, and deleted when it
+        fails to read or decode so the caller recomputes it.
+        """
         memo_key = ("federate", key)
-        with self._locks.lock(memo_key):
-            path = self._path("federate", key, ".npz")
-            if path:
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                tmp = self._path("federate", _tmp_name(key), ".npz")
-                _write_bytes(tmp, encoded)
-                os.replace(tmp, path)
-            with self._memo_lock:
-                self._memo[memo_key] = encoded
-        return decode_update(encoded)
+        with self._memo_lock:
+            cached = self._memo.get(memo_key)
+        if cached is not None:
+            return cast(ClientUpdate, cached)
+        path = self._path("federate", key, ".npz")
+        if path is None or not os.path.exists(path):
+            return None
+        try:
+            update = decode_update(_read_bytes(path))
+        # repro: allow[REP302] killed-writer/tampered cache entry: recompute, don't crash the sweep
+        except Exception:
+            # a killed writer predating atomic replace, or manual
+            # tampering — recompute rather than crash the sweep
+            # (another process may win the same cleanup race)
+            with contextlib.suppress(OSError):
+                os.remove(path)
+            return None
+        with self._memo_lock:
+            self._memo[memo_key] = update
+        return update
+
+    def _save_update(self, key: str, update: ClientUpdate) -> None:
+        """Memo a private copy of ``update`` and persist it when
+        ``cache_dir`` is set.  Callers hold the key's lock."""
+        path = self._path("federate", key, ".npz")
+        if path:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            tmp = self._path("federate", _tmp_name(key), ".npz")
+            _write_bytes(tmp, encode_update(update))
+            os.replace(tmp, path)
+        with self._memo_lock:
+            self._memo[("federate", key)] = _copy_update(update)
 
     # -- finished cells (resume) ------------------------------------------
     def load_cell(self, key: str) -> Optional[Dict]:
@@ -327,6 +350,13 @@ class ArtifactCache:
 def _tmp_name(key: str) -> str:
     """Per-process/thread temp basename for one artifact key."""
     return f".tmp-{os.getpid()}-{threading.get_ident()}-{key}"
+
+
+def _copy_update(update: ClientUpdate) -> ClientUpdate:
+    """``update`` with freshly allocated state arrays."""
+    return dataclasses.replace(
+        update, state={name: np.copy(t) for name, t in update.state.items()}
+    )
 
 
 class RoundCache:
@@ -423,8 +453,8 @@ class RoundCache:
     ) -> ClientUpdate:
         """Populate one client's update after a :meth:`lookup` miss.
 
-        Returns the decoded round-trip copy (what a later hit would
-        return); non-cacheable rounds pass ``update`` through unstored.
+        Returns ``update`` itself; the cache keeps its own copy.
+        Non-cacheable rounds pass ``update`` through unstored.
         """
         if not self.cacheable(broadcast_signature):
             return update
@@ -453,7 +483,7 @@ class RoundCache:
 def encode_update(update: ClientUpdate) -> bytes:
     """A :class:`ClientUpdate` as one compressed ``.npz`` byte string
     (state tensors plus a JSON metadata record) — the federate cache's
-    storage and wire format; :func:`decode_update` inverts it exactly."""
+    on-disk format; :func:`decode_update` inverts it exactly."""
     arrays: Dict[str, np.ndarray] = {
         f"state.{name}": tensor for name, tensor in update.state.items()
     }

@@ -482,6 +482,212 @@ class TestRoundCache:
             assert decoded.state[key] is not update.state[key]
 
 
+def _update(value=1.0):
+    from repro.fl.aggregation import ClientUpdate
+
+    return ClientUpdate(
+        client_name="client-0",
+        state={"w": np.full((2, 3), value), "b": np.float32([value, -value])},
+        num_samples=5,
+        train_loss=0.5,
+    )
+
+
+def _mutate(update):
+    for tensor in update.state.values():
+        tensor += 100.0
+
+
+def _assert_pristine(update, value=1.0):
+    assert (update.state["w"] == value).all()
+    assert (update.state["b"] == np.float32([value, -value])).all()
+
+
+def _damage(path, kind):
+    """Overwrite a cache entry with garbage or a truncated copy of itself."""
+    data = path.read_bytes()
+    path.write_bytes(
+        b"not an npz" * 8 if kind == "garbage" else data[: len(data) // 2]
+    )
+
+
+class TestRoundCacheLayers:
+    """The federate memo holds private array copies; ``.npz`` encoding
+    runs only on the disk layer; damaged disk entries recompute."""
+
+    @pytest.fixture(params=[False, True], ids=["memo", "disk"])
+    def artifacts(self, request, tmp_path):
+        from repro.experiments.artifacts import ArtifactCache
+
+        return ArtifactCache(str(tmp_path) if request.param else None)
+
+    def test_mutating_a_hit_leaves_the_entry(self, artifacts):
+        artifacts.get_client_update("k", _update)
+        hit, was_hit = artifacts.get_client_update("k", _update)
+        assert was_hit
+        _mutate(hit)
+        _assert_pristine(artifacts.peek_client_update("k"))
+        _mutate(artifacts.peek_client_update("k"))
+        _assert_pristine(artifacts.get_client_update("k", _update)[0])
+
+    def test_mutating_a_stored_update_leaves_the_entry(self, artifacts):
+        assert artifacts.peek_client_update("k") is None
+        update = _update()
+        assert artifacts.store_client_update("k", update) is update
+        _mutate(update)
+        _assert_pristine(artifacts.peek_client_update("k"))
+
+    def test_mutating_a_get_update_miss_leaves_the_entry(self, artifacts):
+        from repro.experiments.artifacts import RoundCache
+
+        cache = RoundCache(artifacts, {"cell": "c"}, [None])
+        update = _update()
+        assert cache.get_update(0, 1, "sig", lambda: update) is update
+        _mutate(update)
+        _assert_pristine(cache.lookup(0, 1, "sig"))
+        assert artifacts.stats.snapshot()["federate"] == {
+            "hits": 1,
+            "misses": 1,
+        }
+
+    def test_concurrent_misses_compute_once(self):
+        import sys
+        import threading
+        import time
+
+        from repro.experiments.artifacts import ArtifactCache
+
+        cache = ArtifactCache()
+        calls = []
+
+        def compute():
+            calls.append(1)
+            time.sleep(0.01)
+            return _update()
+
+        results = []
+        threads = [
+            threading.Thread(
+                target=lambda: results.append(
+                    cache.get_client_update("k", compute)[0]
+                )
+            )
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 1
+        assert cache.stats.snapshot()["federate"] == {"hits": 7, "misses": 1}
+        assert len({id(u.state["w"]) for u in results}) == len(threads)
+        for update in results:
+            _assert_pristine(update)
+
+    def test_memo_never_encodes(self, monkeypatch):
+        from repro.experiments import artifacts as module
+
+        def fail(*args):
+            raise AssertionError("in-memory federate cache ran a codec")
+
+        monkeypatch.setattr(module, "encode_update", fail)
+        monkeypatch.setattr(module, "decode_update", fail)
+        cache = module.ArtifactCache()
+        cache.get_client_update("a", _update)
+        cache.get_client_update("a", _update)
+        cache.store_client_update("b", _update())
+        cache.peek_client_update("b")
+
+    @pytest.mark.parametrize("probe", ["peek", "get"])
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_damaged_disk_entry_is_a_miss(self, damage, probe, tmp_path):
+        from repro.experiments.artifacts import ArtifactCache
+
+        ArtifactCache(str(tmp_path)).store_client_update("k", _update())
+        _damage(tmp_path / "federate" / "k.npz", damage)
+        cache = ArtifactCache(str(tmp_path))
+        if probe == "peek":
+            assert cache.peek_client_update("k") is None
+            assert not (tmp_path / "federate" / "k.npz").exists()
+            cache.store_client_update("k", _update(2.0))
+        else:
+            _, hit = cache.get_client_update("k", lambda: _update(2.0))
+            assert not hit
+        assert cache.stats.snapshot()["federate"] == {"hits": 0, "misses": 1}
+        reloaded = ArtifactCache(str(tmp_path)).peek_client_update("k")
+        _assert_pristine(reloaded, 2.0)
+
+
+def _engine_plan(client_engine):
+    return eps_plan(replace(mini_preset(), client_engine=client_engine))
+
+
+def _cell_outputs(sweep):
+    return [
+        (c.error_summary, c.flagged_per_round, c.dropped_per_round)
+        for c in sweep.cells
+    ]
+
+
+@pytest.mark.parametrize("client_engine", ["serial", "batched"])
+class TestRoundCacheEquivalence:
+    """Memo hits, disk hits and ``round_cache=False`` give bit-identical
+    ε-grid cells on both client engines, and a damaged federate entry
+    is recomputed to the same cell."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Per engine: the uncached reference and a populated cache dir."""
+        out = {}
+        for client_engine in ("serial", "batched"):
+            plan = _engine_plan(client_engine)
+            cache = tmp_path_factory.mktemp(f"cache-{client_engine}")
+            first = SweepEngine(cache_dir=str(cache)).run(plan)
+            out[client_engine] = (
+                _cell_outputs(SweepEngine(round_cache=False).run(plan)),
+                first,
+                cache,
+            )
+        return out
+
+    def test_memo_disk_and_uncached_agree(self, runs, client_engine):
+        reference, memo, cache = runs[client_engine]
+        # the second ε cell's honest clients are memo hits
+        assert memo.stats["federate"]["hits"] > 0
+        assert _cell_outputs(memo) == reference
+        disk = SweepEngine(cache_dir=str(cache)).run(
+            _engine_plan(client_engine)
+        )
+        # a fresh engine has a cold memo: every update comes off disk
+        assert disk.stats["federate"].get("misses", 0) == 0
+        assert _cell_outputs(disk) == reference
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_damaged_entry_recomputes(
+        self, runs, client_engine, damage, tmp_path
+    ):
+        import shutil
+
+        reference, _, cache = runs[client_engine]
+        copy = tmp_path / "cache"
+        shutil.copytree(cache, copy)
+        entries = sorted((copy / "federate").glob("*.npz"))
+        data = entries[0].read_bytes()
+        _damage(entries[0], damage)
+        plan = _engine_plan(client_engine)
+        again = SweepEngine(cache_dir=str(copy)).run(plan)
+        assert _cell_outputs(again) == reference
+        lookups = plan.preset.num_clients * len(plan.cells)
+        assert again.stats["federate"] == {"hits": lookups - 1, "misses": 1}
+        assert entries[0].read_bytes() == data
+
+
 class TestSweepResultStats:
     def test_cells_per_second_never_inf(self):
         from repro.experiments.engine import CellResult, SweepResult
