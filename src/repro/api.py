@@ -35,7 +35,7 @@ are first-class everywhere.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.experiments.artefact_registry import (
     ABLATION_ARTEFACTS,
@@ -44,23 +44,24 @@ from repro.experiments.artefact_registry import (
     find_collector,
 )
 from repro.experiments.engine import (
-    EXECUTORS,
+    SPEC_ENGINE_OPTIONS,
+    EngineOptions,
     SweepEngine,
     SweepPlan,
     SweepResult,
 )
 from repro.experiments.runner import ExperimentResult, run_framework
 from repro.experiments.scenarios import Preset, get_preset
-from repro.experiments.scheduler import ON_ERROR_MODES, SweepInterrupted
+from repro.experiments.scheduler import SweepInterrupted
 from repro.experiments.specio import (
     SpecValidationError,
+    check_fields,
     load_payload,
     load_plan,
     payload_to_json,
     save_payload,
     validate_plan_payload,
 )
-from repro.fl.server import CLIENT_ENGINES
 from repro.registry import NAMESPACES, registry
 from repro.utils.tables import format_table
 
@@ -96,14 +97,8 @@ class ExperimentBuilder:
         self._seed: Optional[int] = None
         self._overrides: Dict[str, object] = {}
         self._options: Dict[str, object] = {}
-        self._jobs: Optional[int] = None
-        self._executor: Optional[str] = None
-        self._round_cache: Optional[bool] = None
-        self._cache_dir: Optional[str] = None
-        self._resume = False
-        self._cell_timeout: Optional[float] = None
-        self._retries: Optional[int] = None
-        self._on_error: Optional[str] = None
+        #: the EngineOptions fields set explicitly (unset = default)
+        self._engine_options: Dict[str, object] = {}
         self._engine: Optional[SweepEngine] = None
 
     # -- scenario shape ----------------------------------------------------
@@ -158,47 +153,44 @@ class ExperimentBuilder:
         (per-client loop, the bit-exact reference) or ``"batched"``
         (fold-stacked cohort training — identical results at float64,
         see :mod:`repro.fl.batched_round`)."""
-        if engine not in CLIENT_ENGINES:
-            raise ValueError(
-                f"client_engine must be one of {CLIENT_ENGINES}, "
-                f"got {engine!r}"
-            )
+        _check(Preset, client_engine=engine)
         self._overrides["client_engine"] = engine
         return self
 
     # -- execution shape ---------------------------------------------------
+    # each setter records one EngineOptions field (None unsets it),
+    # checked on the spot against the field's declaration
+    def _set(self, name: str, value: object) -> "ExperimentBuilder":
+        if value is None:
+            self._engine_options.pop(name, None)
+        else:
+            _check(EngineOptions, **{name: value})
+            self._engine_options[name] = value
+        return self
+
     def jobs(self, jobs: Optional[int]) -> "ExperimentBuilder":
         """Run sweep cells on N workers (bit-identical to sequential)."""
-        self._jobs = jobs
-        return self
+        return self._set("jobs", jobs)
 
     def executor(self, executor: Optional[str]) -> "ExperimentBuilder":
         """Pool kind for :meth:`jobs` cells: ``"thread"`` (default) or
         ``"process"`` — a process pool scales sweeps past the GIL on
         multi-core hosts, bit-identical to every other executor."""
-        if executor is not None and executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
-        self._executor = executor
-        return self
+        return self._set("executor", executor)
 
     def round_cache(self, enabled: bool = True) -> "ExperimentBuilder":
         """Toggle the federate-stage round cache (per-client updates
         keyed on the broadcast GM state signature; on by default)."""
-        self._round_cache = bool(enabled)
-        return self
+        return self._set("round_cache", bool(enabled))
 
     def cache(self, cache_dir: Optional[str]) -> "ExperimentBuilder":
         """Persist data/pre-train/federate artifacts and finished cells
         here."""
-        self._cache_dir = cache_dir
-        return self
+        return self._set("cache_dir", cache_dir)
 
     def resume(self, resume: bool = True) -> "ExperimentBuilder":
         """Skip cells already finished in the cache dir."""
-        self._resume = bool(resume)
-        return self
+        return self._set("resume", bool(resume))
 
     def cell_timeout(
         self, seconds: Optional[float]
@@ -206,26 +198,20 @@ class ExperimentBuilder:
         """Per-cell wall-clock budget; a hung thread/process cell is
         preempted, retried (see :meth:`retries`), and ultimately fails
         with a ``timeout`` record.  ``None`` (default) = unlimited."""
-        self._cell_timeout = None if seconds is None else float(seconds)
-        return self
+        seconds = None if seconds is None else float(seconds)
+        return self._set("cell_timeout", seconds)
 
     def retries(self, retries: Optional[int]) -> "ExperimentBuilder":
         """Re-dispatches per cell after an exception, timeout or worker
         crash (deterministic exponential backoff; retried cells
         reproduce bit-identically).  Default 0."""
-        self._retries = None if retries is None else int(retries)
-        return self
+        return self._set("retries", None if retries is None else int(retries))
 
     def on_error(self, mode: Optional[str]) -> "ExperimentBuilder":
         """Failure policy once retries are exhausted: ``"abort"``
         (default — re-raise after persisting finished cells) or
         ``"continue"`` (record a ``CellFailure``, finish the sweep)."""
-        if mode is not None and mode not in ON_ERROR_MODES:
-            raise ValueError(
-                f"on_error must be one of {ON_ERROR_MODES}, got {mode!r}"
-            )
-        self._on_error = mode
-        return self
+        return self._set("on_error", mode)
 
     def engine(self, engine: Optional[SweepEngine]) -> "ExperimentBuilder":
         """Run on an existing engine (shares its artifact cache);
@@ -252,18 +238,7 @@ class ExperimentBuilder:
         """The engine this builder's run would use."""
         if self._engine is not None:
             return self._engine
-        return SweepEngine(
-            jobs=self._jobs,
-            cache_dir=self._cache_dir,
-            resume=self._resume,
-            executor=self._executor or "thread",
-            round_cache=(
-                True if self._round_cache is None else self._round_cache
-            ),
-            cell_timeout=self._cell_timeout,
-            retries=0 if self._retries is None else self._retries,
-            on_error=self._on_error or "abort",
-        )
+        return _engine_for(self._engine_options)
 
     def plan(self) -> SweepPlan:
         """The declarative sweep this builder describes (nothing runs)."""
@@ -276,7 +251,8 @@ class ExperimentBuilder:
         )
 
     def spec(self) -> Dict[str, object]:
-        """The sweep as its versioned JSON-native payload.
+        """The sweep as its versioned JSON-native payload, validated
+        like a loaded spec.
 
         Execution preferences set on the builder (``jobs``,
         ``executor``, ``cell_timeout``, ``retries``, ``on_error``) ride
@@ -286,19 +262,14 @@ class ExperimentBuilder:
         emit no block (golden specs stay byte-stable).
         """
         payload = self.plan().to_dict()
-        hints: Dict[str, object] = {}
-        if self._jobs is not None:
-            hints["jobs"] = self._jobs
-        if self._executor is not None:
-            hints["executor"] = self._executor
-        if self._cell_timeout is not None:
-            hints["cell_timeout"] = self._cell_timeout
-        if self._retries is not None:
-            hints["retries"] = self._retries
-        if self._on_error is not None:
-            hints["on_error"] = self._on_error
+        hints = {
+            name: value
+            for name, value in self._engine_options.items()
+            if name in SPEC_ENGINE_OPTIONS
+        }
         if hints:
             payload["engine"] = hints
+        validate_plan_payload(payload)
         return payload
 
     def to_json(self) -> str:
@@ -318,6 +289,28 @@ class ExperimentBuilder:
             "artefacts", self._artefact
         ).factory
         return driver.run_plan(self.plan(), engine=self.build_engine())
+
+
+def _check(cls: type, **values: object) -> None:
+    """Raise ``ValueError`` naming every problem with these field
+    values of ``cls`` (checked against the field declarations)."""
+    problems = check_fields(cls, values)
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
+def _engine_for(
+    explicit: Mapping[str, object],
+    hints: Optional[Mapping[str, object]] = None,
+) -> SweepEngine:
+    """The engine for these options, each taken from the first place
+    that sets it: ``explicit`` (``None`` = unset), a spec's ``engine``
+    ``hints``, the :class:`EngineOptions` defaults."""
+    options = dict(hints or {})
+    options.update(
+        (name, value) for name, value in explicit.items() if value is not None
+    )
+    return SweepEngine(**options)
 
 
 def experiment(artefact: str) -> ExperimentBuilder:
@@ -371,23 +364,19 @@ def run_single(
 
 def run_spec(
     spec: Union[str, Dict[str, object], SweepPlan],
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    resume: bool = False,
+    *,
     engine: Optional[SweepEngine] = None,
     collect: bool = True,
-    executor: Optional[str] = None,
-    round_cache: Optional[bool] = None,
     client_engine: Optional[str] = None,
-    cell_timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    on_error: Optional[str] = None,
+    **options: object,
 ):
     """Execute a sweep spec — a file path, a payload dict, or a plan.
 
-    ``client_engine`` overrides the spec preset's client execution
-    engine (``"serial"``/``"batched"`` — bit-identical at float64, so
-    the override never changes results, only round wall-time).
+    ``options`` are :class:`EngineOptions` fields (``jobs=``,
+    ``cache_dir=``, …; ``None`` = unset).  ``client_engine`` overrides
+    the spec preset's client execution engine (``"serial"``/
+    ``"batched"`` — bit-identical at float64, so the override never
+    changes results, only round wall-time).
 
     When the plan's name matches a registered artefact (every golden
     spec does) and ``collect=True``, the artefact's collector shapes the
@@ -398,12 +387,12 @@ def run_spec(
     A spec's optional ``engine`` block (``jobs`` / ``executor`` /
     ``cell_timeout`` / ``retries`` / ``on_error``, written by
     :meth:`ExperimentBuilder.save_spec`) supplies defaults for any
-    scheduling argument the caller leaves unset; explicit arguments and
-    a passed ``engine`` always win.  Scheduling never changes results —
-    all executors are bit-identical and retried cells reproduce exactly
-    — so honoring the hints is safe.
+    option the caller leaves unset; explicit options and a passed
+    ``engine`` always win.  Scheduling never changes results — all
+    executors are bit-identical and retried cells reproduce exactly —
+    so honoring the hints is safe.
     """
-    hints: Dict[str, object] = {}
+    hints: Mapping[str, object] = {}
     if isinstance(spec, SweepPlan):
         plan = spec
     elif isinstance(spec, dict):
@@ -417,39 +406,12 @@ def run_spec(
         client_engine is not None
         and client_engine != plan.preset.client_engine
     ):
-        if client_engine not in CLIENT_ENGINES:
-            raise ValueError(
-                f"client_engine must be one of {CLIENT_ENGINES}, "
-                f"got {client_engine!r}"
-            )
+        _check(Preset, client_engine=client_engine)
         plan = replace(
             plan, preset=replace(plan.preset, client_engine=client_engine)
         )
     if engine is None:
-        engine = SweepEngine(
-            jobs=jobs if jobs is not None else hints.get("jobs"),
-            cache_dir=cache_dir,
-            resume=resume,
-            executor=(
-                executor
-                if executor is not None
-                else hints.get("executor", "thread")
-            ),
-            round_cache=True if round_cache is None else round_cache,
-            cell_timeout=(
-                cell_timeout
-                if cell_timeout is not None
-                else hints.get("cell_timeout")
-            ),
-            retries=(
-                retries if retries is not None else hints.get("retries", 0)
-            ),
-            on_error=(
-                on_error
-                if on_error is not None
-                else hints.get("on_error", "abort")
-            ),
-        )
+        engine = _engine_for(options, hints)
     driver = find_collector(plan.name) if collect else None
     if driver is not None:
         return driver.run_plan(plan, engine=engine)

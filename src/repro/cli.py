@@ -21,20 +21,9 @@ Commands:
   coverage; see :mod:`repro.lint` and docs/LINTING.md);
 * ``info`` — the unified component registry's inventory.
 
-``experiment``, ``ablation`` and ``sweep`` accept ``--jobs N``
-(parallel cells, bit-identical to sequential), ``--executor
-serial|thread|process`` (what kind of pool the cells run on —
-``process`` scales past the GIL on multi-core hosts), ``--cache-dir
-PATH`` (on-disk artifact cache shared across invocations),
-``--resume`` (skip cells already finished in the cache dir),
-``--no-round-cache`` (disable the federate-stage client-update cache),
-``--client-engine serial|batched`` (per-round client execution:
-the serial per-client reference loop, or fold-batched cohort training
-that runs every honest client's local epochs as one stacked matmul
-program — bit-identical at float64), and the fault-tolerance knobs
-``--cell-timeout SECONDS``, ``--retries N`` and ``--on-error
-abort|continue`` (see the scheduler docs).  ``run`` accepts
-``--client-engine`` too.
+``experiment``, ``ablation`` and ``sweep`` take one flag per
+:class:`~repro.experiments.engine.EngineOptions` field plus
+``--client-engine``; ``repro <command> --help`` lists them.
 
 Exit codes: 0 clean; 1 spec-validation or runtime error; 2 usage;
 3 the sweep finished but some cells failed under ``--on-error
@@ -67,21 +56,44 @@ def _api():
     return api
 
 
-def _builder(artefact: str, args: argparse.Namespace):
-    builder = (
-        _api().experiment(artefact)
-        .preset(args.preset)
-        .seed(args.seed)
-        .jobs(args.jobs)
-        .executor(args.executor)
-        .cache(args.cache_dir)
-        .resume(args.resume)
-        .round_cache(not args.no_round_cache)
-        .cell_timeout(args.cell_timeout)
-        .retries(args.retries)
-        .on_error(args.on_error)
-    )
-    if getattr(args, "client_engine", None) is not None:
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _dest(option) -> str:
+    """An EngineOptions field's argparse dest: a boolean on by default
+    gets an opt-out flag (``round_cache`` -> ``--no-round-cache``)."""
+    return "no_" + option.name if option.default is True else option.name
+
+
+def _engine_options(args: argparse.Namespace) -> dict:
+    """The EngineOptions fields set on the command line (unset flags —
+    ``None``, or a boolean flag left off — are omitted)."""
+    from dataclasses import fields
+
+    from repro.experiments.engine import EngineOptions
+
+    options = {}
+    for option in fields(EngineOptions):
+        value = getattr(args, _dest(option))
+        if isinstance(option.default, bool):
+            # a boolean flag given flips the default
+            value = (not option.default) if value else None
+        if value is not None:
+            options[option.name] = value
+    return options
+
+
+def _engine(args: argparse.Namespace):
+    from repro.experiments.engine import SweepEngine
+
+    return SweepEngine(**_engine_options(args))
+
+
+def _builder(builder, args: argparse.Namespace, engine):
+    """An artefact builder configured from the shared flags."""
+    builder = builder.preset(args.preset).seed(args.seed).engine(engine)
+    if args.client_engine is not None:
         builder = builder.client_engine(args.client_engine)
     return builder
 
@@ -118,33 +130,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     names = _ARTEFACTS if args.artefact == "all" else (args.artefact,)
     # one engine for all artefacts: pre-trains cached by one figure are
     # reused by every later figure that shares them
-    engine = _builder(names[0], args).build_engine()
+    engine = _engine(args)
     code = 0
     for name in names:
         start = time.time()
-        result = _builder(name, args).engine(engine).run()
+        result = _builder(_api().experiment(name), args, engine).run()
         code = max(code, _print_result(result))
         print(f"[{name} regenerated in {time.time() - start:.0f}s]\n")
     return code
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    api = _api()
-    builder = (
-        api.ablation(args.axis)
-        .preset(args.preset)
-        .seed(args.seed)
-        .jobs(args.jobs)
-        .executor(args.executor)
-        .cache(args.cache_dir)
-        .resume(args.resume)
-        .round_cache(not args.no_round_cache)
-        .cell_timeout(args.cell_timeout)
-        .retries(args.retries)
-        .on_error(args.on_error)
-    )
-    if args.client_engine is not None:
-        builder = builder.client_engine(args.client_engine)
+    builder = _builder(_api().ablation(args.axis), args, _engine(args))
     return _print_result(builder.run())
 
 
@@ -176,15 +173,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         result = api.run_spec(
             args.spec,
-            jobs=args.jobs,
-            executor=args.executor,
-            cache_dir=args.cache_dir,
-            resume=args.resume,
-            round_cache=False if args.no_round_cache else None,
             client_engine=args.client_engine,
-            cell_timeout=args.cell_timeout,
-            retries=args.retries,
-            on_error=args.on_error,
+            **_engine_options(args),
         )
     except api.SpecValidationError as error:
         print(error, file=sys.stderr)
@@ -249,69 +239,32 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="run sweep cells on N workers (results are bit-identical "
-        "to sequential; default sequential)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default=None,
-        help="pool kind for --jobs: 'thread' (default) shares one "
-        "in-process cache, 'process' scales past the GIL on multi-core "
-        "hosts and isolates cells in killable workers, 'serial' forces "
-        "inline execution (results are bit-identical every way)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="on-disk artifact cache: fingerprint data, pre-trained GMs, "
-        "federate-round client updates and finished cells persist here "
-        "across invocations",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip cells whose results already sit in --cache-dir "
-        "(resume a partially completed sweep; requires --cache-dir)",
-    )
-    parser.add_argument(
-        "--no-round-cache",
-        action="store_true",
-        help="disable the federate-stage round cache (per-client updates "
-        "keyed on the broadcast GM state; on by default, bit-identical "
-        "to recomputing)",
-    )
-    parser.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-cell wall-clock budget: a hung thread/process cell is "
-        "preempted, retried (--retries), and ultimately reported as a "
-        "timeout failure (default: unlimited)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="re-dispatches per cell after an exception, timeout or "
-        "worker crash, with deterministic exponential backoff — retried "
-        "cells reproduce bit-identically (default 0)",
-    )
-    parser.add_argument(
-        "--on-error",
-        choices=("abort", "continue"),
-        default=None,
-        help="failure policy once retries are exhausted: 'abort' "
-        "(default) re-raises after persisting finished cells; "
-        "'continue' records structured failures, finishes the sweep, "
-        "and exits with status 3",
-    )
+    """One flag per EngineOptions field (default ``None``, or off for a
+    boolean flag), then ``--client-engine``."""
+    from dataclasses import fields
+    from typing import get_args, get_type_hints
+
+    from repro.experiments.engine import EngineOptions
+
+    hints = get_type_hints(EngineOptions)
+    for option in fields(EngineOptions):
+        help_text = option.metadata["help"]
+        if isinstance(option.default, bool):
+            parser.add_argument(
+                _flag(_dest(option)), action="store_true", help=help_text
+            )
+            continue
+        # the flag's value type: X for a field typed X or Optional[X]
+        hint = hints[option.name]
+        kind = next(t for t in (*get_args(hint), hint) if t is not type(None))
+        parser.add_argument(
+            _flag(option.name),
+            type=kind,
+            choices=option.metadata.get("choices"),
+            default=None,
+            metavar=option.metadata.get("metavar"),
+            help=help_text,
+        )
     _add_client_engine_option(parser)
 
 
@@ -427,17 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "resume", False) and not args.cache_dir:
-        parser.error("--resume requires --cache-dir")
-    if getattr(args, "jobs", None) is not None and args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if getattr(args, "retries", None) is not None and args.retries < 0:
-        parser.error("--retries must be >= 0")
-    if (
-        getattr(args, "cell_timeout", None) is not None
-        and args.cell_timeout <= 0
-    ):
-        parser.error("--cell-timeout must be positive")
+    if hasattr(args, "jobs"):  # a command with engine flags
+        from repro.experiments.engine import EngineOptions
+
+        problems = EngineOptions.problems(_engine_options(args), _flag)
+        if problems:
+            parser.error("; ".join(problems))
     from repro.experiments.scheduler import SweepInterrupted
 
     try:

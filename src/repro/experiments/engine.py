@@ -59,7 +59,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.attacks import create_attack
 from repro.baselines.registry import make_framework
-from repro.data.buildings import Building
+from repro.data.buildings import Building, list_buildings
 from repro.data.datasets import FingerprintDataset
 from repro.data.fingerprints import paper_protocol
 from repro.experiments.artifacts import (
@@ -70,7 +70,7 @@ from repro.experiments.artifacts import (
     state_signature,
 )
 from repro.experiments.chaos import maybe_inject, resolve_chaos
-from repro.experiments.scenarios import Preset
+from repro.experiments.scenarios import Preset, knob
 from repro.experiments.scheduler import (
     ON_ERROR_MODES,
     CellFailure,
@@ -83,7 +83,7 @@ from repro.experiments.scheduler import (
 from repro.fl.simulation import build_federation
 from repro.metrics.localization import ErrorSummary, evaluate_model
 from repro.nn.dtype import compute_dtype
-from repro.registry import UnknownComponent, registry
+from repro.registry import registry
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedSequence
 
@@ -101,6 +101,99 @@ SPEC_SCHEMA_VERSION = 1
 #: ``jobs`` count — even a one-worker pool isolates cells in killable,
 #: timeout-enforceable worker processes.
 EXECUTORS = ("serial", "thread", "process")
+
+
+@dataclass(frozen=True)
+class EngineOptions:
+    """The sweep engine's knobs — their single declaration.
+
+    Each field's metadata carries what the other layers need: ``help``
+    (the knob's documentation, shown as its CLI flag's help, with
+    ``metavar``), ``choices`` or ``min``/``gt`` bounds for
+    :func:`~repro.experiments.specio.check_fields`, and ``spec`` for the
+    knobs a sweep spec's ``engine`` block may carry.
+    :class:`SweepEngine`, the :mod:`repro.api` setters and
+    ``run_spec``, the CLI flags and the spec validator all derive from
+    these fields.  No knob can change a cell's numbers.
+    """
+
+    jobs: Optional[int] = knob(
+        None, min=1, spec=True,
+        help="run sweep cells on N workers (results are bit-identical "
+        "to sequential; default sequential)",
+    )
+    executor: str = knob(
+        "thread", choices=EXECUTORS, spec=True,
+        help="pool kind for --jobs: 'thread' (default) shares one "
+        "in-process cache, 'process' scales past the GIL on multi-core "
+        "hosts and isolates cells in killable workers, 'serial' forces "
+        "inline execution (results are bit-identical every way)",
+    )
+    cache_dir: Optional[str] = knob(
+        None,
+        help="on-disk artifact cache: fingerprint data, pre-trained GMs, "
+        "federate-round client updates and finished cells persist here "
+        "across invocations",
+    )
+    resume: bool = knob(
+        False,
+        help="skip cells whose results already sit in --cache-dir "
+        "(resume a partially completed sweep; requires --cache-dir)",
+    )
+    round_cache: bool = knob(
+        True,
+        help="disable the federate-stage round cache (per-client updates "
+        "keyed on the broadcast GM state; on by default, bit-identical "
+        "to recomputing)",
+    )
+    cell_timeout: Optional[float] = knob(
+        None, gt=0, spec=True, metavar="SECONDS",
+        help="per-cell wall-clock budget: a hung thread/process cell is "
+        "preempted, retried (--retries), and ultimately reported as a "
+        "timeout failure (default: unlimited)",
+    )
+    retries: int = knob(
+        0, min=0, spec=True, metavar="N",
+        help="re-dispatches per cell after an exception, timeout or "
+        "worker crash, with deterministic exponential backoff — retried "
+        "cells reproduce bit-identically (default 0)",
+    )
+    on_error: str = knob(
+        "abort", choices=ON_ERROR_MODES, spec=True,
+        help="failure policy once retries are exhausted: 'abort' "
+        "(default) re-raises after persisting finished cells; "
+        "'continue' records structured failures, finishes the sweep, "
+        "and exits with status 3",
+    )
+
+    def __post_init__(self) -> None:
+        problems = self.problems(asdict(self))
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    @staticmethod
+    def problems(
+        values: Dict[str, object],
+        where: Callable[[str], str] = str,
+    ) -> List[str]:
+        """Every problem with these option values (omitted = default);
+        ``where`` names a field in the messages (e.g. as a CLI flag)."""
+        from repro.experiments.specio import check_fields
+
+        problems = check_fields(EngineOptions, values, where)
+        if values.get("resume") and values.get("cache_dir") is None:
+            problems.append(
+                f"{where('resume')} needs {where('cache_dir')} — there is "
+                f"nowhere to resume finished cells from"
+            )
+        return problems
+
+
+#: the :class:`EngineOptions` a sweep spec's ``engine`` block may carry
+#: as replay hints (the rest describe the invoking host, not the sweep)
+SPEC_ENGINE_OPTIONS = tuple(
+    f.name for f in fields(EngineOptions) if f.metadata.get("spec")
+)
 
 #: framework kwargs that provably do not alter the pre-trained weights —
 #: they configure the untrusted-data defense or the aggregation strategy,
@@ -239,17 +332,17 @@ class ScenarioSpec:
             of the cell's cache identity.
     """
 
-    framework: str = "safeloc"
-    attack: Optional[str] = None
+    framework: str = knob("safeloc", registry="frameworks")
+    attack: Optional[str] = knob(None, registry="attacks")
     epsilon: float = 0.0
-    building: Optional[str] = None
-    num_clients: Optional[int] = None
-    num_malicious: Optional[int] = None
+    building: Optional[str] = knob(None, choices=list_buildings)
+    num_clients: Optional[int] = knob(None, min=1)
+    num_malicious: Optional[int] = knob(None, min=0)
     framework_kwargs: Tuple[Tuple[str, object], ...] = ()
-    strategy: Optional[str] = None
+    strategy: Optional[str] = knob(None, registry="aggregations")
     self_labeling: bool = True
-    input_dim: Optional[int] = None
-    num_classes: Optional[int] = None
+    input_dim: Optional[int] = knob(None, min=1)
+    num_classes: Optional[int] = knob(None, min=1)
     label: str = ""
 
     @property
@@ -278,11 +371,7 @@ class ScenarioSpec:
         """Rebuild a spec from :meth:`to_dict` output or a hand-written
         cell; ``framework_kwargs`` may be a mapping or ``(key, value)``
         pairs (they are canonically sorted either way)."""
-        known = {f.name for f in fields(cls)}
         data = dict(payload)
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise UnknownComponent("cell fields", unknown[0], known)
         raw_kwargs = data.pop("framework_kwargs", {})
         if isinstance(raw_kwargs, dict):
             pairs = raw_kwargs.items()
@@ -297,36 +386,23 @@ class ScenarioSpec:
 def scenario(
     framework: str = "safeloc",
     *,
-    attack: Optional[str] = None,
-    epsilon: float = 0.0,
-    building: Optional[str] = None,
-    num_clients: Optional[int] = None,
-    num_malicious: Optional[int] = None,
     framework_kwargs: Optional[Dict[str, object]] = None,
-    strategy: Optional[str] = None,
-    self_labeling: bool = True,
-    input_dim: Optional[int] = None,
-    num_classes: Optional[int] = None,
-    label: str = "",
+    **cell: object,
 ) -> ScenarioSpec:
-    """Ergonomic :class:`ScenarioSpec` constructor (kwargs as a dict);
-    validates the strategy name against the ``aggregations`` registry
-    namespace (built-in variants and registered plugins alike)."""
-    if strategy is not None:
-        registry.get("aggregations", strategy)  # raises with did-you-mean
+    """Ergonomic :class:`ScenarioSpec` constructor: the other fields as
+    keywords, ``framework_kwargs`` as a dict, ``epsilon`` zeroed on clean
+    cells; validates the strategy name against the ``aggregations``
+    registry namespace (built-in variants and registered plugins
+    alike)."""
+    if cell.get("strategy") is not None:
+        registry.get("aggregations", cell["strategy"])  # did-you-mean
+    cell["epsilon"] = (
+        float(cell.get("epsilon", 0.0)) if cell.get("attack") else 0.0
+    )
     return ScenarioSpec(
         framework=framework,
-        attack=attack,
-        epsilon=float(epsilon) if attack else 0.0,
-        building=building,
-        num_clients=num_clients,
-        num_malicious=num_malicious,
         framework_kwargs=tuple(sorted((framework_kwargs or {}).items())),
-        strategy=strategy,
-        self_labeling=self_labeling,
-        input_dim=input_dim,
-        num_classes=num_classes,
-        label=label,
+        **cell,
     )
 
 
@@ -553,43 +629,12 @@ class SweepResult:
 class SweepEngine:
     """Executes :class:`SweepPlan`\\ s through the staged, cached pipeline.
 
+    Keyword options are the :class:`EngineOptions` fields, checked
+    there and kept as ``self.options``; the module docstring covers the
+    executors and caches, :mod:`repro.experiments.scheduler` the fault
+    knobs.  Results are bit-identical under every option.
+
     Args:
-        jobs: Cell-level worker count (``None``/1 = sequential; results
-            are bit-identical either way).
-        cache_dir: On-disk artifact store; enables cross-process reuse of
-            data/pre-train/federate artifacts and (with ``resume``) cell
-            skipping.
-        resume: Skip cells whose results already sit in ``cache_dir``.
-        executor: ``"thread"`` (default) or ``"process"`` — what kind of
-            pool ``jobs`` cells run on.  Threads share one in-memory
-            artifact cache but serialize on the GIL; processes scale
-            across cores, each worker holding its own in-memory memo
-            (sharing through ``cache_dir`` when one is set) and shipping
-            finished cells back as JSON-native :class:`CellResult`
-            payloads.  Results are bit-identical across all executors.
-        round_cache: Enable the federate-stage
-            :class:`~repro.experiments.artifacts.RoundCache` (default
-            on): per-client round updates keyed on the broadcast GM
-            state signature, so cells that broadcast identical states —
-            every ε-grid/strategy cell's first post-pre-train round —
-            reuse honest-client training.  ``False`` recomputes every
-            update (the equivalence-test reference path).
-        cell_timeout: Per-cell wall-clock budget in seconds (``None`` =
-            unlimited).  Enforced where the backend can preempt: a hung
-            process cell is reclaimed by killing and rebuilding the
-            pool (innocent in-flight cells re-dispatch without being
-            charged an attempt), a hung thread cell is abandoned.
-            Serial execution cannot preempt a running cell.
-        retries: Re-dispatches allowed per cell after an exception,
-            timeout or worker crash (0 = fail on first injury).  Cells
-            are pure functions of (preset, spec) — all randomness comes
-            from named seed streams — so a retried cell reproduces
-            bit-identically.
-        on_error: ``"abort"`` (default) re-raises a cell's final error
-            once retries are exhausted — after every already-finished
-            cell reached the resume ledger; ``"continue"`` records a
-            :class:`~repro.experiments.scheduler.CellFailure` on the
-            result and completes the rest of the sweep.
         backoff_base: First-retry delay in seconds; doubles with each
             further attempt (deterministic — no jitter).
         chaos: Test-only deterministic fault injection: a
@@ -603,49 +648,12 @@ class SweepEngine:
     """
 
     def __init__(
-        self,
-        jobs: Optional[int] = None,
-        cache_dir: Optional[str] = None,
-        resume: bool = False,
-        executor: str = "thread",
-        round_cache: bool = True,
-        cell_timeout: Optional[float] = None,
-        retries: int = 0,
-        on_error: str = "abort",
-        backoff_base: float = 0.5,
-        chaos=None,
+        self, *, backoff_base: float = 0.5, chaos=None, **options
     ):
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if resume and cache_dir is None:
-            raise ValueError(
-                "resume=True needs a cache_dir — there is nowhere to "
-                "resume finished cells from"
-            )
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise ValueError(
-                f"cell_timeout must be positive, got {cell_timeout}"
-            )
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if on_error not in ON_ERROR_MODES:
-            raise ValueError(
-                f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
-            )
-        self.jobs = jobs
-        self.resume = bool(resume)
-        self.executor = executor
-        self.round_cache = bool(round_cache)
-        self.cell_timeout = cell_timeout
-        self.retries = int(retries)
-        self.on_error = on_error
+        self.options = EngineOptions(**options)
         self.backoff_base = float(backoff_base)
         self.chaos = resolve_chaos(chaos)
-        self.artifacts = ArtifactCache(cache_dir)
+        self.artifacts = ArtifactCache(self.options.cache_dir)
         self._sig_memo: Dict[tuple, str] = {}
         self._sig_lock = threading.Lock()
 
@@ -674,8 +682,8 @@ class SweepEngine:
             cells=cells,
             stats=stats,
             duration_s=time.perf_counter() - start,
-            jobs=self.jobs or 1,
-            executor=self.executor,
+            jobs=self.options.jobs or 1,
+            executor=self.options.executor,
             failures=failures,
             retried=retried,
             timed_out=timed_out,
@@ -738,9 +746,9 @@ class SweepEngine:
 
         scheduler = CellScheduler(
             self._backend(plan, len(pending)),
-            cell_timeout=self.cell_timeout,
-            retries=self.retries,
-            on_error=self.on_error,
+            cell_timeout=self.options.cell_timeout,
+            retries=self.options.retries,
+            on_error=self.options.on_error,
             backoff_base=self.backoff_base,
             on_complete=complete,
         )
@@ -777,14 +785,15 @@ class SweepEngine:
         """
         if plan.kind == "footprint":
             return SerialBackend(self._runner(plan))
-        if self.executor == "process" and self.jobs is not None:
+        jobs, executor = self.options.jobs, self.options.executor
+        if executor == "process" and jobs is not None:
             return ProcessBackend(
                 _pool_run_cell,
                 self._process_payload(plan),
-                min(self.jobs, pending),
+                min(jobs, pending),
             )
-        workers = min(self.jobs or 1, pending)
-        if workers <= 1 or self.executor == "serial":
+        workers = min(jobs or 1, pending)
+        if workers <= 1 or executor == "serial":
             return SerialBackend(self._runner(plan))
         return ThreadBackend(self._runner(plan), workers)
 
@@ -813,7 +822,7 @@ class SweepEngine:
         shared = {
             "preset": plan.preset.to_dict(),
             "cache_dir": self.artifacts.cache_dir,
-            "round_cache": self.round_cache,
+            "round_cache": self.options.round_cache,
             "chaos": self.chaos.token() if self.chaos else None,
         }
 
@@ -832,7 +841,7 @@ class SweepEngine:
     ) -> Optional[CellResult]:
         """The stored result for a finished cell, or ``None`` when the
         cell must run (resume off, footprint plan, or cache miss)."""
-        if not (self.resume and plan.kind == "federation"):
+        if not (self.options.resume and plan.kind == "federation"):
             return None
         record = self.artifacts.load_cell(self._cell_key(plan, spec))
         if record is None:
@@ -894,7 +903,7 @@ class SweepEngine:
         if not spec.self_labeling:
             for client in server.clients:
                 client.self_labeling = False
-        if self.round_cache:
+        if self.options.round_cache:
             server.update_cache = self._round_cache(
                 preset, spec, data_key, config,
                 shared_signature=state_signature(pretrained),

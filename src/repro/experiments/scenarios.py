@@ -11,12 +11,32 @@ Three scales, identical code paths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, Optional, Tuple
 
-from repro.data.buildings import Building, get_building, scaled_building
+from repro.data.buildings import (
+    Building,
+    get_building,
+    list_buildings,
+    scaled_building,
+)
+from repro.fl.server import CLIENT_ENGINES
 from repro.fl.simulation import FederationConfig
 from repro.registry import registry
+
+
+def knob(default: Any, **metadata: Any) -> Any:
+    """A dataclass field whose metadata declares its rules — choices,
+    bounds, CLI help, … (read by
+    :func:`~repro.experiments.specio.check_fields`)."""
+    return field(default=default, metadata=metadata)
+
+
+def _json_native(value: object) -> object:
+    """Tuples (nested or not) as lists, everything else as is."""
+    if isinstance(value, tuple):
+        return [_json_native(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -46,36 +66,40 @@ class Preset:
     """
 
     name: str
-    seed: int = 42
-    buildings: Tuple[str, ...] = ("building5",)
-    rp_fraction: float = 0.3
-    ap_fraction: float = 0.4
-    num_clients: int = 6
-    num_malicious: int = 1
-    num_rounds: int = 6
-    client_epochs: int = 10
+    seed: int = knob(42, min=0)
+    buildings: Tuple[str, ...] = knob(("building5",), choices=list_buildings)
+    rp_fraction: float = knob(0.3, gt=0, max=1)
+    ap_fraction: float = knob(0.4, gt=0, max=1)
+    num_clients: int = knob(6, min=1)
+    num_malicious: int = knob(1, min=0)
+    num_rounds: int = knob(6, min=1)
+    client_epochs: int = knob(10, min=0)
     client_lr: float = 0.003
-    malicious_epochs: int = 40
+    malicious_epochs: int = knob(40, min=0)
     malicious_lr: float = 0.01
-    client_fingerprints_per_rp: int = 2
-    pretrain_epochs: int = 350
+    client_fingerprints_per_rp: int = knob(2, min=1)
+    pretrain_epochs: int = knob(350, min=0)
     pretrain_lr: float = 0.003
     epsilon_grid: Tuple[float, ...] = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
     tau_grid: Tuple[float, ...] = (0.02, 0.05, 0.1, 0.2, 0.3, 0.5)
-    attacks: Tuple[str, ...] = ("clb", "fgsm", "pgd", "mim", "label_flip")
+    attacks: Tuple[str, ...] = knob(
+        ("clb", "fgsm", "pgd", "mim", "label_flip"), registry="attacks"
+    )
     default_epsilon: float = 0.5
-    scalability_grid: Tuple[Tuple[int, int], ...] = ((6, 1), (12, 3), (18, 6), (24, 12))
-    latency_repeats: int = 30
+    scalability_grid: Tuple[Tuple[int, int], ...] = knob(
+        ((6, 1), (12, 3), (18, 6), (24, 12)), min=0
+    )
+    latency_repeats: int = knob(30, min=1)
     #: client-update thread count per round (None = sequential reference)
-    max_workers: Optional[int] = None
+    max_workers: Optional[int] = knob(None, min=1)
     #: client execution engine: "serial" (per-client loop, the bit-exact
     #: reference) or "batched" (fold-stacked cohort training; identical
     #: results at float64 — see :mod:`repro.fl.batched_round`)
-    client_engine: str = "serial"
+    client_engine: str = knob("serial", choices=CLIENT_ENGINES)
     #: numpy float width the whole stack computes at ("float64" is the
     #: bit-for-bit reference; "float32" halves state memory/bandwidth —
     #: see the ``fast32`` preset)
-    compute_dtype: str = "float64"
+    compute_dtype: str = knob("float64", choices=("float32", "float64"))
 
     def building(self, name: str) -> Building:
         """Materialize one of the preset's buildings at the preset scale."""
@@ -113,52 +137,21 @@ class Preset:
         """JSON-native payload (tuples as lists) losslessly describing
         this preset; :meth:`from_dict` inverts it exactly."""
         return {
-            "name": self.name,
-            "seed": self.seed,
-            "buildings": list(self.buildings),
-            "rp_fraction": self.rp_fraction,
-            "ap_fraction": self.ap_fraction,
-            "num_clients": self.num_clients,
-            "num_malicious": self.num_malicious,
-            "num_rounds": self.num_rounds,
-            "client_epochs": self.client_epochs,
-            "client_lr": self.client_lr,
-            "malicious_epochs": self.malicious_epochs,
-            "malicious_lr": self.malicious_lr,
-            "client_fingerprints_per_rp": self.client_fingerprints_per_rp,
-            "pretrain_epochs": self.pretrain_epochs,
-            "pretrain_lr": self.pretrain_lr,
-            "epsilon_grid": list(self.epsilon_grid),
-            "tau_grid": list(self.tau_grid),
-            "attacks": list(self.attacks),
-            "default_epsilon": self.default_epsilon,
-            "scalability_grid": [list(pair) for pair in self.scalability_grid],
-            "latency_repeats": self.latency_repeats,
-            "max_workers": self.max_workers,
-            "client_engine": self.client_engine,
-            "compute_dtype": self.compute_dtype,
+            f.name: _json_native(getattr(self, f.name))
+            for f in fields(self)
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "Preset":
-        """Rebuild a preset from :meth:`to_dict` output (or a hand-written
-        spec file); unknown or missing fields raise with the field named."""
-        from repro.registry import UnknownComponent
-
-        known = {f.name for f in fields(cls)}
+        """Rebuild a preset from :meth:`to_dict` output or a validated
+        spec's preset block (grid entries as their declared numbers)."""
         data = dict(payload)
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise UnknownComponent("preset fields", unknown[0], known)
-        if "name" not in data:
-            raise ValueError("preset payload is missing the 'name' field")
-        for grid in ("buildings", "epsilon_grid", "tau_grid", "attacks"):
+        for grid in ("buildings", "attacks"):
             if grid in data:
                 data[grid] = tuple(data[grid])
-        if "epsilon_grid" in data:
-            data["epsilon_grid"] = tuple(float(e) for e in data["epsilon_grid"])
-        if "tau_grid" in data:
-            data["tau_grid"] = tuple(float(t) for t in data["tau_grid"])
+        for grid in ("epsilon_grid", "tau_grid"):
+            if grid in data:
+                data[grid] = tuple(float(value) for value in data[grid])
         if "scalability_grid" in data:
             data["scalability_grid"] = tuple(
                 (int(total), int(poisoned))

@@ -12,7 +12,12 @@ engine:
     plan.json: cells[3].framework: unknown framework 'safelok' — did
     you mean 'safeloc'?
 
-Validation checks names against the unified component registry
+Field types, choices and bounds are read off the dataclasses a spec
+describes (:class:`~repro.experiments.scenarios.Preset`,
+:class:`~repro.experiments.engine.ScenarioSpec` and
+:class:`~repro.experiments.engine.EngineOptions`) by one checker,
+:func:`check_fields`, so the schema cannot drift from the code.  Names
+are checked against the unified component registry
 (:mod:`repro.registry`), so out-of-tree plugins registered through
 ``register_plugin`` / entry points validate exactly like built-ins.
 """
@@ -20,73 +25,47 @@ Validation checks names against the unified component registry
 from __future__ import annotations
 
 import json
+import math
+import operator
 import os
-from typing import Any, Dict, FrozenSet, List, Optional
+from dataclasses import fields
+from functools import lru_cache
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.experiments.engine import (
-    EXECUTORS,
+    SPEC_ENGINE_OPTIONS,
     SPEC_FORMAT,
     SPEC_SCHEMA_VERSION,
+    EngineOptions,
+    ScenarioSpec,
     SweepPlan,
 )
-from repro.experiments.scheduler import ON_ERROR_MODES
+from repro.experiments.scenarios import Preset
 from repro.registry import _did_you_mean, registry
 
-#: preset fields and the JSON types they must carry
-_PRESET_FIELD_TYPES = {
-    "name": str,
-    "seed": int,
-    "buildings": list,
-    "rp_fraction": (int, float),
-    "ap_fraction": (int, float),
-    "num_clients": int,
-    "num_malicious": int,
-    "num_rounds": int,
-    "client_epochs": int,
-    "client_lr": (int, float),
-    "malicious_epochs": int,
-    "malicious_lr": (int, float),
-    "client_fingerprints_per_rp": int,
-    "pretrain_epochs": int,
-    "pretrain_lr": (int, float),
-    "epsilon_grid": list,
-    "tau_grid": list,
-    "attacks": list,
-    "default_epsilon": (int, float),
-    "scalability_grid": list,
-    "latency_repeats": int,
-    "max_workers": (int, type(None)),
-    "client_engine": str,
-    "compute_dtype": str,
+#: the JSON name of each scalar type a spec field can carry
+_JSON_NAMES: Dict[Any, str] = {
+    bool: "boolean", int: "integer", float: "number", str: "string",
+    type(None): "null",
 }
 
-_CELL_FIELD_TYPES = {
-    "framework": str,
-    "attack": (str, type(None)),
-    "epsilon": (int, float),
-    "building": (str, type(None)),
-    "num_clients": (int, type(None)),
-    "num_malicious": (int, type(None)),
-    "framework_kwargs": (dict, list),
-    "strategy": (str, type(None)),
-    "self_labeling": bool,
-    "input_dim": (int, type(None)),
-    "num_classes": (int, type(None)),
-    "label": str,
-}
-
-
-def preset_field_names() -> FrozenSet[str]:
-    """The preset fields the validator knows (the ``repro lint`` REP202
-    hook: cross-checked against ``Preset``'s dataclass fields so the
-    validation table cannot silently drift from the spec format)."""
-    return frozenset(_PRESET_FIELD_TYPES)
-
-
-def cell_field_names() -> FrozenSet[str]:
-    """The cell fields the validator knows (REP202 hook, see
-    :func:`preset_field_names`)."""
-    return frozenset(_CELL_FIELD_TYPES)
+#: field-metadata bounds: (key, sign, test)
+_BOUNDS = (
+    ("min", ">=", operator.ge), ("gt", ">", operator.gt),
+    ("max", "<=", operator.le),
+)
 
 
 class SpecValidationError(ValueError):
@@ -107,207 +86,153 @@ class SpecValidationError(ValueError):
         )
 
 
-def _type_name(expected: Any) -> str:
-    if isinstance(expected, tuple):
-        return " or ".join(
-            "null" if t is type(None) else t.__name__ for t in expected
-        )
-    return expected.__name__
+def check_fields(
+    cls: Any,
+    payload: Mapping[str, Any],
+    where: Callable[[str], str] = str,
+    known: Optional[Collection[str]] = None,
+) -> List[str]:
+    """Every problem with ``payload`` as values for the fields of the
+    dataclass ``cls`` — the one schema checker behind the preset, cell
+    and ``engine`` blocks of a spec and :class:`EngineOptions`.
 
-
-def _check_fields(
-    payload: Dict, types: Dict[str, Any], where: str, errors: List[str]
-) -> None:
+    Types come from the type hints: ``Optional[X]`` admits null,
+    ``float`` admits integers (finite values only), nothing but ``bool``
+    admits a boolean, and ``Tuple[X, ...]`` / ``Tuple[X, Y]`` fields are
+    arrays whose elements are checked once the container passed (a
+    tuple of ``(str, V)`` pairs may also be an object).  Field metadata
+    adds value rules, applied to each scalar (each element, in a tuple
+    field): ``choices`` (a tuple, or a callable returning the names),
+    ``registry`` (a component namespace), and the bounds ``min`` /
+    ``max`` (inclusive) and ``gt`` (exclusive).  ``known`` limits the
+    fields the payload may set; ``where`` names a field in the messages.
+    """
+    declared = {f.name: f for f in fields(cls)}
+    allowed = set(declared if known is None else known)
+    hints = _type_hints(cls)
+    problems: List[str] = []
     for name, value in payload.items():
-        if name not in types:
-            message = f"{where}.{name}: unknown field"
-            suggestion = _did_you_mean(name, types)
-            if suggestion:
-                message += f" — did you mean {suggestion!r}?"
-            errors.append(message)
-            continue
-        expected = types[name]
-        # bool is an int subclass; don't let true/false pass as counts
-        if isinstance(value, bool) and expected is not bool:
-            errors.append(
-                f"{where}.{name}: expected {_type_name(expected)}, "
-                f"got a boolean"
+        if name not in allowed:
+            problems.append(
+                _with_hint(f"{where(name)}: unknown field", name, allowed)
             )
-        elif not isinstance(value, expected):
-            errors.append(
-                f"{where}.{name}: expected {_type_name(expected)}, "
-                f"got {type(value).__name__} ({value!r})"
-            )
-
-
-def _check_elements(
-    preset: Dict, errors: List[str]
-) -> None:
-    """Element-level checks for the preset's list fields (the container
-    check alone would let malformed entries crash construction)."""
-    for field in ("buildings", "attacks"):
-        for index, entry in enumerate(preset.get(field) or ()):
-            if not isinstance(entry, str):
-                errors.append(
-                    f"preset.{field}[{index}]: expected string, got "
-                    f"{type(entry).__name__} ({entry!r})"
-                )
-    for field in ("epsilon_grid", "tau_grid"):
-        for index, entry in enumerate(preset.get(field) or ()):
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                errors.append(
-                    f"preset.{field}[{index}]: expected number, got "
-                    f"{type(entry).__name__} ({entry!r})"
-                )
-    for index, pair in enumerate(preset.get("scalability_grid") or ()):
-        good = (
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(
-                isinstance(v, int) and not isinstance(v, bool) for v in pair
-            )
-        )
-        if not good:
-            errors.append(
-                f"preset.scalability_grid[{index}]: expected a "
-                f"[total, poisoned] integer pair, got {pair!r}"
-            )
-
-
-def _check_name(
-    namespace: str, name: str, where: str, errors: List[str]
-) -> None:
-    if registry.has(namespace, name):
-        return
-    message = f"{where}: unknown {namespace[:-1]} {name!r}"
-    suggestion = _did_you_mean(name, registry.names(namespace))
-    if suggestion:
-        message += f" — did you mean {suggestion!r}?"
-    else:
-        message += f"; choices: {sorted(registry.names(namespace))}"
-    errors.append(message)
-
-
-def _validate_cell(
-    cell: Any, index: int, kind: str, errors: List[str]
-) -> None:
-    where = f"cells[{index}]"
-    if not isinstance(cell, dict):
-        errors.append(f"{where}: expected an object, got {type(cell).__name__}")
-        return
-    _check_fields(cell, _CELL_FIELD_TYPES, where, errors)
-    if "framework" not in cell:
-        errors.append(f"{where}.framework: required field is missing")
-    elif isinstance(cell["framework"], str):
-        _check_name("frameworks", cell["framework"], f"{where}.framework", errors)
-    attack = cell.get("attack")
-    if isinstance(attack, str):
-        _check_name("attacks", attack, f"{where}.attack", errors)
-    strategy = cell.get("strategy")
-    if isinstance(strategy, str):
-        # validated against the registry so plugin aggregations are
-        # spec-addressable like built-ins
-        _check_name("aggregations", strategy, f"{where}.strategy", errors)
-    kwargs = cell.get("framework_kwargs", {})
-    if isinstance(kwargs, list):
-        good = all(
-            isinstance(pair, list) and len(pair) == 2
-            and isinstance(pair[0], str)
-            for pair in kwargs
-        )
-        if not good:
-            errors.append(
-                f"{where}.framework_kwargs: pair form must be "
-                f"[[name, value], ...]"
-            )
-            kwargs = {}
         else:
-            kwargs = dict(kwargs)
-    if isinstance(kwargs, dict) and registry.has(
-        "frameworks", cell.get("framework", "")
+            problems.extend(
+                _check_value(
+                    value, hints[name], declared[name].metadata, where(name)
+                )
+            )
+    return problems
+
+
+@lru_cache(maxsize=None)
+def _type_hints(cls: Any) -> Dict[str, Any]:
+    return get_type_hints(cls)
+
+
+def _under(prefix: str) -> Callable[[str], str]:
+    return lambda name: f"{prefix}.{name}"
+
+
+def _with_hint(message: str, word: object, choices: Collection[str]) -> str:
+    suggestion = (
+        _did_you_mean(word, choices) if isinstance(word, str) else None
+    )
+    return f"{message} — did you mean {suggestion!r}?" if suggestion else message
+
+
+def _expected(hint: Any) -> str:
+    if get_origin(hint) is Union:
+        return " or ".join(_expected(arm) for arm in get_args(hint))
+    if get_origin(hint) is tuple:
+        return "array or object" if _is_pairs(hint) else "array"
+    name = _JSON_NAMES.get(hint)
+    return name if name is not None else str(getattr(hint, "__name__", hint))
+
+
+def _is_pairs(hint: Any) -> bool:
+    """``Tuple[Tuple[str, V], ...]`` — a mapping in pair form."""
+    args = get_args(hint)
+    return (
+        len(args) == 2
+        and args[1] is Ellipsis
+        and get_args(args[0])[:1] == (str,)
+        and len(get_args(args[0])) == 2
+    )
+
+
+def _check_value(
+    value: Any, hint: Any, meta: Mapping[str, Any], spot: str
+) -> List[str]:
+    expected = _expected(hint)
+    if get_origin(hint) is Union:  # Optional[X], the only union used
+        if value is None:
+            return []
+        (hint,) = [arm for arm in get_args(hint) if arm is not type(None)]
+    if hint is object:
+        return []
+    array = get_origin(hint) is tuple
+    if array and isinstance(value, dict) and _is_pairs(hint):
+        value = [[key, item] for key, item in value.items()]
+    kind = (list, tuple) if array else (int, float) if hint is float else hint
+    if isinstance(value, bool) != (hint is bool) or not isinstance(
+        value, kind
     ):
-        universe = registry.accepted_kwargs("frameworks")
-        info = registry.get("frameworks", cell["framework"])
-        for kwarg in kwargs:
-            if not info.accepts_kwarg(kwarg) and kwarg not in universe:
-                message = (
-                    f"{where}.framework_kwargs.{kwarg}: no registered "
-                    f"framework accepts this kwarg"
-                )
-                suggestion = _did_you_mean(kwarg, universe)
-                if suggestion:
-                    message += f" — did you mean {suggestion!r}?"
-                errors.append(message)
-    if kind == "footprint":
-        for required in ("input_dim", "num_classes"):
-            if cell.get(required) is None:
-                errors.append(
-                    f"{where}.{required}: footprint cells must set an "
-                    f"explicit problem shape"
-                )
-
-
-def _validate_engine_block(engine: Any, errors: List[str]) -> None:
-    """The optional top-level ``engine`` block: scheduling and
-    failure-policy *hints* (``jobs``, ``executor``, ``cell_timeout``,
-    ``retries``, ``on_error``) that :func:`repro.api.run_spec` applies
-    as defaults — never anything that could change the numbers (retried
-    cells reproduce bit-identically)."""
-    if engine is None:
-        return
-    if not isinstance(engine, dict):
-        errors.append(
-            f"engine: expected an object, got {type(engine).__name__}"
+        got = (
+            "a boolean"
+            if isinstance(value, bool)
+            else f"{type(value).__name__} ({value!r})"
         )
-        return
-    known = ("jobs", "executor", "cell_timeout", "retries", "on_error")
-    for name, value in engine.items():
-        if name not in known:
-            message = f"engine.{name}: unknown field"
-            suggestion = _did_you_mean(name, known)
-            if suggestion:
-                message += f" — did you mean {suggestion!r}?"
-            errors.append(message)
-        elif name == "jobs":
-            if isinstance(value, bool) or not isinstance(value, int):
-                errors.append(
-                    f"engine.jobs: expected int, got "
-                    f"{type(value).__name__} ({value!r})"
-                )
-            elif value < 1:
-                errors.append(f"engine.jobs: must be >= 1, got {value}")
-        elif name == "executor" and value not in EXECUTORS:
-            errors.append(
-                f"engine.executor: expected one of {list(EXECUTORS)}, "
-                f"got {value!r}"
+        return [f"{spot}: expected {expected}, got {got}"]
+    if array:
+        return _check_items(value, hint, meta, spot)
+    try:
+        finite = hint is not float or math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        return [f"{spot}: expected a finite number, got {value!r}"]
+    return _check_rules(value, meta, spot)
+
+
+def _check_items(
+    value: Any, hint: Any, meta: Mapping[str, Any], spot: str
+) -> List[str]:
+    """Element checks for an array that passed the container check."""
+    args = get_args(hint)
+    items = args[:1] * len(value) if args[-1] is Ellipsis else args
+    if len(items) != len(value):
+        return [f"{spot}: expected {len(items)} entries, got {value!r}"]
+    return [
+        problem
+        for index, (item, item_hint) in enumerate(zip(value, items))
+        for problem in _check_value(item, item_hint, meta, f"{spot}[{index}]")
+    ]
+
+
+def _check_rules(
+    value: Any, meta: Mapping[str, Any], spot: str
+) -> List[str]:
+    """The metadata rules for one scalar that passed its type check."""
+    namespace = meta.get("registry")
+    names = registry.names(namespace) if namespace else meta.get("choices")
+    names = names() if callable(names) else names
+    if names is not None and value not in names:
+        noun = namespace[:-1] if namespace else "value"
+        suggestion = _did_you_mean(value, names)
+        return [
+            f"{spot}: unknown {noun} {value!r}"
+            + (
+                f" — did you mean {suggestion!r}?"
+                if suggestion
+                else f"; choices: {list(names)}"
             )
-        elif name == "cell_timeout":
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ):
-                errors.append(
-                    f"engine.cell_timeout: expected a number of seconds, "
-                    f"got {type(value).__name__} ({value!r})"
-                )
-            elif value <= 0:
-                errors.append(
-                    f"engine.cell_timeout: must be positive, got {value}"
-                )
-        elif name == "retries":
-            if isinstance(value, bool) or not isinstance(value, int):
-                errors.append(
-                    f"engine.retries: expected int, got "
-                    f"{type(value).__name__} ({value!r})"
-                )
-            elif value < 0:
-                errors.append(
-                    f"engine.retries: must be >= 0, got {value}"
-                )
-        elif name == "on_error" and value not in ON_ERROR_MODES:
-            errors.append(
-                f"engine.on_error: expected one of {list(ON_ERROR_MODES)}, "
-                f"got {value!r}"
-            )
+        ]
+    return [
+        f"{spot}: must be {sign} {meta[key]}, got {value!r}"
+        for key, sign, holds in _BOUNDS
+        if key in meta and not holds(value, meta[key])
+    ]
 
 
 def validate_plan_payload(
@@ -355,47 +280,123 @@ def validate_plan_payload(
         "format", "schema_version", "name", "kind", "preset", "cells",
         "engine",
     )
-    for field in payload:
-        if field not in top_level:
-            message = f"{field}: unknown top-level field"
-            suggestion = _did_you_mean(field, top_level)
-            if suggestion:
-                message += f" — did you mean {suggestion!r}?"
-            errors.append(message)
-    _validate_engine_block(payload.get("engine"), errors)
-    preset = payload.get("preset")
-    if not isinstance(preset, dict):
-        errors.append(
-            f"preset: expected an object, got {type(preset).__name__}"
+    for key in payload:
+        if key not in top_level:
+            errors.append(
+                _with_hint(f"{key}: unknown top-level field", key, top_level)
+            )
+    if payload.get("engine") is not None:
+        # scheduling and failure-policy hints for run_spec, never
+        # anything that could change the numbers
+        _check_block(
+            EngineOptions, payload["engine"], "engine", errors,
+            SPEC_ENGINE_OPTIONS,
         )
-    else:
-        _check_fields(preset, _PRESET_FIELD_TYPES, "preset", errors)
-        _check_elements(preset, errors)
-        if "name" not in preset:
-            errors.append("preset.name: required field is missing")
-        for index, attack in enumerate(preset.get("attacks") or ()):
-            if isinstance(attack, str):
-                _check_name(
-                    "attacks", attack, f"preset.attacks[{index}]", errors
-                )
-        if preset.get("compute_dtype") not in (None, "float32", "float64"):
-            errors.append(
-                f"preset.compute_dtype: expected 'float32' or 'float64', "
-                f"got {preset.get('compute_dtype')!r}"
-            )
-        if preset.get("client_engine") not in (None, "serial", "batched"):
-            errors.append(
-                f"preset.client_engine: expected 'serial' or 'batched', "
-                f"got {preset.get('client_engine')!r}"
-            )
+    preset = _check_block(
+        Preset, payload.get("preset"), "preset", errors, required="name"
+    )
+    if preset is not None and preset["num_malicious"] > preset["num_clients"]:
+        errors.append(
+            f"preset.num_malicious: {preset['num_malicious']} exceeds "
+            f"preset.num_clients ({preset['num_clients']})"
+        )
+        preset = None
     cells = payload.get("cells")
     if not isinstance(cells, list) or not cells:
         errors.append("cells: expected a non-empty array of cell objects")
-    else:
-        for index, cell in enumerate(cells):
-            _validate_cell(cell, index, kind, errors)
+        cells = []
+    for index, cell in enumerate(cells):
+        where = f"cells[{index}]"
+        values = _check_block(
+            ScenarioSpec, cell, where, errors, required="framework"
+        )
+        if values is None:
+            continue
+        if kind == "footprint":
+            for required in ("input_dim", "num_classes"):
+                if values[required] is None:
+                    errors.append(
+                        f"{where}.{required}: footprint cells must set an "
+                        f"explicit problem shape"
+                    )
+        elif preset is not None:
+            _check_federation(values, where, preset, errors)
+        _check_kwargs(values, where, errors)
     if errors:
         raise SpecValidationError(errors, source)
+
+
+def _check_block(
+    cls: Any,
+    block: Any,
+    where: str,
+    errors: List[str],
+    known: Optional[Collection[str]] = None,
+    required: str = "",
+) -> Optional[Dict[str, Any]]:
+    """Check one object-valued block against ``cls``'s fields; returns
+    its values, defaults filled in, when it has no problems."""
+    if not isinstance(block, dict):
+        errors.append(
+            f"{where}: expected an object, got {type(block).__name__}"
+        )
+        return None
+    problems = check_fields(cls, block, _under(where), known)
+    if required and required not in block:
+        problems.append(f"{where}.{required}: required field is missing")
+    errors.extend(problems)
+    if problems:
+        return None
+    return {f.name: block.get(f.name, f.default) for f in fields(cls)}
+
+
+def _check_federation(
+    cell: Dict[str, Any],
+    where: str,
+    preset: Dict[str, Any],
+    errors: List[str],
+) -> None:
+    """A cell's federation must exist: a building to survey, and no
+    more attackers than clients (clean cells field none)."""
+    if cell["building"] is None and not preset["buildings"]:
+        errors.append(
+            f"{where}.building: null means the preset's first building, "
+            f"but preset.buildings is empty"
+        )
+    clients = cell["num_clients"] or preset["num_clients"]
+    malicious = cell["num_malicious"]
+    if malicious is None:
+        malicious = preset["num_malicious"]
+    if cell["attack"] is not None and malicious > clients:
+        errors.append(
+            f"{where}.num_malicious: {malicious} exceeds the cell's "
+            f"num_clients ({clients})"
+        )
+
+
+def _check_kwargs(
+    cell: Dict[str, Any], where: str, errors: List[str]
+) -> None:
+    """Each framework kwarg must be one some registered framework
+    accepts (typos get a did-you-mean), named once."""
+    kwargs = cell["framework_kwargs"]
+    names = (
+        list(kwargs) if isinstance(kwargs, dict) else [k for k, _ in kwargs]
+    )
+    if len(set(names)) != len(names):
+        errors.append(f"{where}.framework_kwargs: a kwarg is named twice")
+    info = registry.get("frameworks", cell["framework"])
+    universe = registry.accepted_kwargs("frameworks")
+    for kwarg in names:
+        if not info.accepts_kwarg(kwarg) and kwarg not in universe:
+            errors.append(
+                _with_hint(
+                    f"{where}.framework_kwargs.{kwarg}: no registered "
+                    f"framework accepts this kwarg",
+                    kwarg,
+                    universe,
+                )
+            )
 
 
 def payload_to_json(payload: Dict) -> str:

@@ -12,8 +12,7 @@ instead of as a flaky sweep three PRs later — via seven rule families:
   reads and unordered-set iteration inside cache-key/signature
   functions;
 * **REP2xx registry/spec contracts** — registration metadata consistent
-  with factory signatures, spec-schema field lists consistent with the
-  dataclasses they validate, golden specs naming only registered
+  with factory signatures, golden specs naming only registered
   components;
 * **REP3xx executor safety** — process-pool entries must be
   module-level and closure-free, broad ``except`` clauses must re-raise

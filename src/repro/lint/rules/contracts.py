@@ -2,10 +2,10 @@
 
 These rules cross-check *live* metadata against the code that consumes
 it: registration metadata vs. factory signatures
-(:meth:`repro.registry.Registry.contract_problems`), the spec
-validator's field tables vs. the dataclasses they guard, and the golden
-spec files vs. the registered component set.  They run once per lint
-invocation, not per file.
+(:meth:`repro.registry.Registry.contract_problems`) and the golden spec
+files vs. the registered component set.  They run once per lint
+invocation, not per file.  (The spec validator reads its schema off the
+spec dataclasses themselves, so it has no field tables to drift.)
 """
 
 from __future__ import annotations
@@ -55,67 +55,6 @@ class RegistryKwargContract(ProjectRule):
         ]
 
 
-class SpecFieldContract(ProjectRule):
-    """REP202: spec validator field tables match the spec dataclasses."""
-
-    id = "REP202"
-    title = "spec validator fields drifted from the spec dataclasses"
-    rationale = (
-        "specio validates presets/cells against hand-maintained field "
-        "tables; a Preset/ScenarioSpec field added without a table entry "
-        "ships specs the validator rejects (or worse, never checks), and "
-        "a stale table entry promises a field from_dict will refuse."
-    )
-
-    def check(self, root: str) -> List[Finding]:
-        from dataclasses import fields
-
-        from repro.experiments.engine import ScenarioSpec
-        from repro.experiments.scenarios import Preset
-        from repro.experiments.specio import (
-            cell_field_names,
-            preset_field_names,
-        )
-
-        path = os.path.join("src", "repro", "experiments", "specio.py")
-        findings: List[Finding] = []
-        pairs = (
-            ("preset", Preset, preset_field_names(), Preset("lint-probe")),
-            ("cell", ScenarioSpec, cell_field_names(), ScenarioSpec()),
-        )
-        for label, cls, validated, probe in pairs:
-            declared = {f.name for f in fields(cls)}
-            for name in sorted(declared - validated):
-                findings.append(
-                    self._finding(
-                        path,
-                        f"{label} field {name!r} is on {cls.__name__} but "
-                        f"missing from the {label} validation table — "
-                        f"specs setting it fail validation",
-                    )
-                )
-            for name in sorted(validated - declared):
-                findings.append(
-                    self._finding(
-                        path,
-                        f"{label} validation table names {name!r} but "
-                        f"{cls.__name__} has no such field — from_dict "
-                        f"rejects what the validator accepts",
-                    )
-                )
-            emitted = set(probe.to_dict())
-            for name in sorted(declared - emitted):
-                findings.append(
-                    self._finding(
-                        path,
-                        f"{label} field {name!r} is not emitted by "
-                        f"{cls.__name__}.to_dict — saved specs silently "
-                        f"drop it and round-trips are lossy",
-                    )
-                )
-        return findings
-
-
 class GoldenSpecsValid(ProjectRule):
     """REP203: golden specs validate against the live registry/schema."""
 
@@ -144,6 +83,5 @@ class GoldenSpecsValid(ProjectRule):
 
 CONTRACT_RULES = (
     RegistryKwargContract(),
-    SpecFieldContract(),
     GoldenSpecsValid(),
 )
