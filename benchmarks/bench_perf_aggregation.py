@@ -38,12 +38,8 @@ from repro.baselines.fedhil import SelectiveAggregation
 from repro.baselines.krum import KrumAggregation
 from repro.core.safeloc import SafeLocModel
 from repro.core.saliency import SaliencyAggregation
-from repro.data.datasets import FingerprintDataset
 from repro.fl.aggregation import ClientUpdate, FedAvg
-from repro.fl.client import ClientConfig, FederatedClient
 from repro.fl.robust import CoordinateMedian, NormClipping, TrimmedMean
-from repro.fl.server import FederatedServer
-from repro.utils.rng import SeedSequence
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_aggregation.json")
@@ -165,61 +161,6 @@ def bench_aggregation(
     return results
 
 
-def _round_federation(max_workers) -> FederatedServer:
-    num_aps, num_rps = 16, 8
-    clients = []
-    for i in range(6):
-        rng = np.random.default_rng(100 + i)
-        dataset = FingerprintDataset(
-            rng.uniform(0, 1, size=(40, num_aps)),
-            rng.integers(0, num_rps, size=40),
-            building="bench",
-            device=f"d{i}",
-        )
-        clients.append(
-            FederatedClient(
-                f"c{i}",
-                DNNLocalizer(num_aps, num_rps, hidden=(32,), seed=i),
-                dataset,
-                ClientConfig(epochs=2, lr=0.01),
-                seeds=SeedSequence(i),
-            )
-        )
-    return FederatedServer(
-        DNNLocalizer(num_aps, num_rps, hidden=(32,), seed=99),
-        SaliencyAggregation(),
-        clients,
-        SeedSequence(7),
-        max_workers=max_workers,
-    )
-
-
-def bench_federation_round() -> Dict[str, object]:
-    """One warm federation round, sequential vs threaded client updates.
-
-    Also records whether the two execution modes produced bit-identical
-    global models — the determinism contract of ``max_workers``.
-    """
-    sequential = _round_federation(max_workers=None)
-    parallel = _round_federation(max_workers=4)
-    sequential.run_round()  # warm caches / allocator
-    parallel.run_round()
-    seq_s = _time_min(sequential.run_round, 3)
-    par_s = _time_min(parallel.run_round, 3)
-    seq_state = sequential.model.state_dict()
-    par_state = parallel.model.state_dict()
-    identical = all(
-        np.array_equal(seq_state[k], par_state[k]) for k in seq_state
-    )
-    return {
-        "clients": len(sequential.clients),
-        "sequential_ms": round(seq_s * 1e3, 2),
-        "parallel_ms": round(par_s * 1e3, 2),
-        "max_workers": 4,
-        "parallel_matches_sequential": bool(identical),
-    }
-
-
 def run_all(quick: bool = False) -> Dict[str, object]:
     """Full benchmark → result dict (shape of ``BENCH_aggregation.json``)."""
     scales = ("ci", "experiment") if quick else tuple(MODEL_SCALES)
@@ -250,7 +191,6 @@ def run_all(quick: bool = False) -> Dict[str, object]:
             **headline,
         },
         "aggregation": aggregation,
-        "federation_round": bench_federation_round(),
     }
 
 
@@ -273,13 +213,6 @@ def format_report(results: Dict[str, object]) -> str:
                 f"({r['legacy_ms']:9.3f} -> {r['packed_ms']:8.3f} ms, "
                 f"diff {r['max_abs_diff']:.1e})"
             )
-    rnd = results["federation_round"]
-    lines.append(
-        f"\nfederation round ({rnd['clients']} clients): sequential "
-        f"{rnd['sequential_ms']} ms, {rnd['max_workers']}-thread "
-        f"{rnd['parallel_ms']} ms, deterministic="
-        f"{rnd['parallel_matches_sequential']}"
-    )
     return "\n".join(lines)
 
 

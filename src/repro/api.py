@@ -169,13 +169,14 @@ class ExperimentBuilder:
         return self
 
     def jobs(self, jobs: Optional[int]) -> "ExperimentBuilder":
-        """Run sweep cells on N workers (bit-identical to sequential)."""
+        """Run sweep cells on N worker processes (bit-identical to
+        sequential)."""
         return self._set("jobs", jobs)
 
     def executor(self, executor: Optional[str]) -> "ExperimentBuilder":
-        """Pool kind for :meth:`jobs` cells: ``"thread"`` (default) or
-        ``"process"`` — a process pool scales sweeps past the GIL on
-        multi-core hosts, bit-identical to every other executor."""
+        """How :meth:`jobs` cells run: ``"process"`` (default — a pool
+        of worker processes, past the GIL) or ``"serial"`` (inline);
+        bit-identical either way."""
         return self._set("executor", executor)
 
     def round_cache(self, enabled: bool = True) -> "ExperimentBuilder":
@@ -195,9 +196,10 @@ class ExperimentBuilder:
     def cell_timeout(
         self, seconds: Optional[float]
     ) -> "ExperimentBuilder":
-        """Per-cell wall-clock budget; a hung thread/process cell is
-        preempted, retried (see :meth:`retries`), and ultimately fails
-        with a ``timeout`` record.  ``None`` (default) = unlimited."""
+        """Per-cell wall-clock budget; a hung cell's worker process is
+        killed, the cell retried (see :meth:`retries`) and ultimately
+        failed with a ``timeout`` record.  Needs a process pool
+        (:meth:`jobs`).  ``None`` (default) = unlimited."""
         seconds = None if seconds is None else float(seconds)
         return self._set("cell_timeout", seconds)
 

@@ -84,6 +84,17 @@ def _engine_options(args: argparse.Namespace) -> dict:
     return options
 
 
+def _spec_engine_block(path: str) -> dict:
+    """A sweep spec's ``engine`` block, or ``{}`` when the spec does not
+    load (``sweep`` then reports its problems itself)."""
+    from repro.experiments.specio import SpecValidationError, load_payload
+
+    try:
+        return load_payload(path).get("engine") or {}
+    except SpecValidationError:
+        return {}
+
+
 def _engine(args: argparse.Namespace):
     from repro.experiments.engine import SweepEngine
 
@@ -383,7 +394,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if hasattr(args, "jobs"):  # a command with engine flags
         from repro.experiments.engine import EngineOptions
 
-        problems = EngineOptions.problems(_engine_options(args), _flag)
+        options = _engine_options(args)
+        if args.command == "sweep":
+            # the spec's engine block fills the options left unset
+            options = {**_spec_engine_block(args.spec), **options}
+        problems = EngineOptions.problems(options, _flag)
         if problems:
             parser.error("; ".join(problems))
     from repro.experiments.scheduler import SweepInterrupted

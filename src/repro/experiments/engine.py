@@ -13,14 +13,14 @@ loops around a monolithic ``run_framework``.  Here the grid is **data**:
   survey and the 350–700-epoch centralized pre-train are computed once
   per (building, preset, seed) and reused by every framework/attack/ε
   cell that shares them;
-* cells run sequentially, on a thread pool, or on a **process pool**
-  (``jobs`` × ``executor``); results are bit-identical every way
-  because every cell derives all randomness from named
+* cells run inline or on a **process pool** (``jobs`` ×
+  ``executor``); results are bit-identical either way because every
+  cell derives all randomness from named
   :class:`~repro.utils.rng.SeedSequence` streams and shares no mutable
   state — process workers receive cells as JSON-native payloads and
   return npz/json-serialized :class:`CellResult` records, so sweeps
   scale past the GIL on multi-core hosts;
-* all three executors dispatch through one fault-tolerant scheduler
+* both executors dispatch through one fault-tolerant scheduler
   (:mod:`repro.experiments.scheduler`): per-cell wall-clock timeouts,
   bounded retry with exponential backoff, crash recovery that rebuilds
   a broken process pool and re-dispatches only in-flight cells, and
@@ -78,7 +78,6 @@ from repro.experiments.scheduler import (
     ProcessBackend,
     SerialBackend,
     SweepInterrupted,
-    ThreadBackend,
 )
 from repro.fl.simulation import build_federation
 from repro.metrics.localization import ErrorSummary, evaluate_model
@@ -96,11 +95,11 @@ SPEC_FORMAT = "repro.sweep-plan"
 SPEC_SCHEMA_VERSION = 1
 
 #: cell-executor choices (``SweepEngine(executor=...)`` / ``--executor``).
-#: ``serial`` forces inline execution regardless of ``jobs``; ``thread``
-#: (the default) runs inline until ``jobs > 1``; ``process`` honors any
-#: ``jobs`` count — even a one-worker pool isolates cells in killable,
-#: timeout-enforceable worker processes.
-EXECUTORS = ("serial", "thread", "process")
+#: ``serial`` forces inline execution regardless of ``jobs``; ``process``
+#: (the default) runs ``jobs`` cells on a pool of worker processes — even
+#: a one-worker pool isolates cells in killable, timeout-enforceable
+#: workers — and runs inline while ``jobs`` is unset.
+EXECUTORS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -119,15 +118,14 @@ class EngineOptions:
 
     jobs: Optional[int] = knob(
         None, min=1, spec=True,
-        help="run sweep cells on N workers (results are bit-identical "
-        "to sequential; default sequential)",
+        help="run sweep cells on N worker processes (results are "
+        "bit-identical to sequential; default sequential)",
     )
     executor: str = knob(
-        "thread", choices=EXECUTORS, spec=True,
-        help="pool kind for --jobs: 'thread' (default) shares one "
-        "in-process cache, 'process' scales past the GIL on multi-core "
-        "hosts and isolates cells in killable workers, 'serial' forces "
-        "inline execution (results are bit-identical every way)",
+        "process", choices=EXECUTORS, spec=True,
+        help="how --jobs runs cells: 'process' (default) on a pool of "
+        "killable worker processes, 'serial' inline (results are "
+        "bit-identical either way)",
     )
     cache_dir: Optional[str] = knob(
         None,
@@ -148,9 +146,10 @@ class EngineOptions:
     )
     cell_timeout: Optional[float] = knob(
         None, gt=0, spec=True, metavar="SECONDS",
-        help="per-cell wall-clock budget: a hung thread/process cell is "
-        "preempted, retried (--retries), and ultimately reported as a "
-        "timeout failure (default: unlimited)",
+        help="per-cell wall-clock budget: a hung cell's worker process "
+        "is killed, the cell retried (--retries) and ultimately reported "
+        "as a timeout failure; needs a process pool (--jobs), and "
+        "footprint plans run inline, unbounded (default: unlimited)",
     )
     retries: int = knob(
         0, min=0, spec=True, metavar="N",
@@ -185,6 +184,13 @@ class EngineOptions:
             problems.append(
                 f"{where('resume')} needs {where('cache_dir')} — there is "
                 f"nowhere to resume finished cells from"
+            )
+        if values.get("cell_timeout") is not None and (
+            values.get("jobs") is None or values.get("executor") == "serial"
+        ):
+            problems.append(
+                f"{where('cell_timeout')} needs a process pool "
+                f"({where('jobs')}) — an inline cell cannot be preempted"
             )
         return problems
 
@@ -228,10 +234,9 @@ PRETRAIN_NEUTRAL_KWARGS: Dict[str, frozenset] = {
 }
 
 #: preset fields that cannot influence a single cell's numbers (grids the
-#: drivers expand into explicit spec fields, display metadata, and the
-#: scheduling knobs that are bit-neutral by construction — ``max_workers``
-#: reorders nothing and ``client_engine`` is pinned bit-identical to the
-#: serial loop, so cells resumed across engines share one entry).
+#: drivers expand into explicit spec fields, display metadata, and
+#: ``client_engine``, which is pinned bit-identical to the serial loop,
+#: so cells resumed across engines share one entry).
 _CELL_NEUTRAL_PRESET_FIELDS = frozenset(
     {
         "name",
@@ -242,7 +247,6 @@ _CELL_NEUTRAL_PRESET_FIELDS = frozenset(
         "default_epsilon",
         "scalability_grid",
         "latency_repeats",
-        "max_workers",
         "client_engine",
     }
 )
@@ -542,8 +546,10 @@ class SweepResult:
     cells: List[CellResult]
     stats: Dict[str, Dict[str, int]]
     duration_s: float
+    #: the backend that ran the pending cells: its worker count and name
+    #: (``1, "serial"`` when every cell was resumed)
     jobs: int = 1
-    executor: str = "thread"
+    executor: str = "serial"
     #: cells that exhausted their attempts under ``on_error="continue"``
     #: (plan order; an aborted sweep raises instead of returning)
     failures: List[CellFailure] = field(default_factory=list)
@@ -672,8 +678,11 @@ class SweepEngine:
         start = time.perf_counter()
         before = self.artifacts.stats.snapshot()
         with compute_dtype(plan.preset.compute_dtype):
-            cells, failures, retried, timed_out = self._execute(plan)
+            cells, scheduler = self._execute(plan)
         stats = StageStats.delta(before, self.artifacts.stats.snapshot())
+        failures = [scheduler.failures[i] for i in sorted(scheduler.failures)]
+        for failure in failures:
+            failure.spec = plan.cells[failure.index]
         result = SweepResult(
             plan_name=plan.name,
             preset_name=plan.preset.name,
@@ -682,11 +691,11 @@ class SweepEngine:
             cells=cells,
             stats=stats,
             duration_s=time.perf_counter() - start,
-            jobs=self.options.jobs or 1,
-            executor=self.options.executor,
+            jobs=scheduler.backend.capacity(),
+            executor=scheduler.backend.name,
             failures=failures,
-            retried=retried,
-            timed_out=timed_out,
+            retried=scheduler.retried,
+            timed_out=scheduler.timed_out,
         )
         logger.info("%s", result.format_stats())
         return result
@@ -699,7 +708,7 @@ class SweepEngine:
     # -- execution ---------------------------------------------------------
     def _execute(
         self, plan: SweepPlan
-    ) -> Tuple[List[CellResult], List[CellFailure], int, int]:
+    ) -> Tuple[List[CellResult], CellScheduler]:
         """Run a plan through the fault-tolerant scheduler.
 
         Resume hits are resolved in the parent (no backend ever sees
@@ -708,8 +717,8 @@ class SweepEngine:
         finished cell is persisted to the resume ledger the moment its
         completion callback fires — out of order, in the scheduler's
         own thread — so a later failure, abort or interrupt never loses
-        finished work.  Returns plan-ordered surviving cells, the
-        failure records, and the (retried, timed-out) counters.
+        finished work.  Returns plan-ordered surviving cells and the
+        scheduler, which holds the backend, failures and counters.
         """
         results: List[Optional[CellResult]] = [None] * len(plan.cells)
         pending: List[int] = []
@@ -719,8 +728,6 @@ class SweepEngine:
                 results[index] = resumed
             else:
                 pending.append(index)
-        if not pending:
-            return [cell for cell in results if cell is not None], [], 0, 0
         for _ in pending:
             # counted at dispatch decision, once per cell — retries must
             # not inflate the "cells" miss counter
@@ -765,40 +772,33 @@ class SweepEngine:
             interrupt.total = len(plan.cells)
             interrupt.plan_name = plan.name
             raise
-        failures: List[CellFailure] = []
-        for index in sorted(scheduler.failures):
-            failure = scheduler.failures[index]
-            failure.spec = plan.cells[index]
-            failures.append(failure)
-        cells = [cell for cell in results if cell is not None]
-        return cells, failures, scheduler.retried, scheduler.timed_out
+        return [cell for cell in results if cell is not None], scheduler
 
     def _backend(self, plan: SweepPlan, pending: int):
         """Pick the executor backend for a plan's pending cells.
 
         Footprint cells time wall-clock inference latency — concurrent
         cells would contend for the CPU and inflate every measurement —
-        so they always run serially in-process.  ``process`` is honored
-        at any ``jobs`` count (a one-worker pool still isolates cells
-        in killable, timeout-enforceable workers); the thread pool only
-        engages when it can actually overlap cells.
+        so they always run inline, as do sweeps without ``jobs``, with
+        ``executor="serial"``, or with nothing left to run.  Otherwise
+        the cells go to a process pool of ``jobs`` workers (a one-worker
+        pool still isolates cells in killable, timeout-enforceable
+        workers).
         """
-        if plan.kind == "footprint":
+        jobs = self.options.jobs
+        if (
+            plan.kind == "footprint"
+            or jobs is None
+            or self.options.executor == "serial"
+            or not pending
+        ):
             return SerialBackend(self._runner(plan))
-        jobs, executor = self.options.jobs, self.options.executor
-        if executor == "process" and jobs is not None:
-            return ProcessBackend(
-                _pool_run_cell,
-                self._process_payload(plan),
-                min(jobs, pending),
-            )
-        workers = min(jobs or 1, pending)
-        if workers <= 1 or executor == "serial":
-            return SerialBackend(self._runner(plan))
-        return ThreadBackend(self._runner(plan), workers)
+        return ProcessBackend(
+            _pool_run_cell, self._process_payload(plan), min(jobs, pending)
+        )
 
     def _runner(self, plan: SweepPlan) -> Callable[[int, int], CellResult]:
-        """The serial/thread cell body: (index, attempt) → CellResult."""
+        """The inline cell body: (index, attempt) → CellResult."""
 
         def run(index: int, attempt: int) -> CellResult:
             spec = plan.cells[index]

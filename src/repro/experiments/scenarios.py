@@ -12,7 +12,7 @@ Three scales, identical code paths:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.data.buildings import (
     Building,
@@ -73,10 +73,10 @@ class Preset:
     num_clients: int = knob(6, min=1)
     num_malicious: int = knob(1, min=0)
     num_rounds: int = knob(6, min=1)
-    client_epochs: int = knob(10, min=0)
-    client_lr: float = 0.003
-    malicious_epochs: int = knob(40, min=0)
-    malicious_lr: float = 0.01
+    client_epochs: int = knob(10, min=1)
+    client_lr: float = knob(0.003, gt=0)
+    malicious_epochs: int = knob(40, min=1)
+    malicious_lr: float = knob(0.01, gt=0)
     client_fingerprints_per_rp: int = knob(2, min=1)
     pretrain_epochs: int = knob(350, min=0)
     pretrain_lr: float = 0.003
@@ -90,8 +90,6 @@ class Preset:
         ((6, 1), (12, 3), (18, 6), (24, 12)), min=0
     )
     latency_repeats: int = knob(30, min=1)
-    #: client-update thread count per round (None = sequential reference)
-    max_workers: Optional[int] = knob(None, min=1)
     #: client execution engine: "serial" (per-client loop, the bit-exact
     #: reference) or "batched" (fold-stacked cohort training; identical
     #: results at float64 — see :mod:`repro.fl.batched_round`)
@@ -128,7 +126,6 @@ class Preset:
             num_rounds=self.num_rounds,
             pretrain_epochs=self.pretrain_epochs,
             pretrain_lr=self.pretrain_lr,
-            max_workers=self.max_workers,
             client_engine=self.client_engine,
         )
 

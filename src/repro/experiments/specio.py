@@ -288,10 +288,16 @@ def validate_plan_payload(
     if payload.get("engine") is not None:
         # scheduling and failure-policy hints for run_spec, never
         # anything that could change the numbers
-        _check_block(
+        if _check_block(
             EngineOptions, payload["engine"], "engine", errors,
             SPEC_ENGINE_OPTIONS,
-        )
+        ) is not None:
+            errors.extend(
+                EngineOptions.problems(payload["engine"], _under("engine"))
+            )
+    if isinstance(payload.get("preset"), dict):
+        # older specs carry the retired, result-neutral thread-round knob
+        payload["preset"].pop("max_workers", None)
     preset = _check_block(
         Preset, payload.get("preset"), "preset", errors, required="name"
     )

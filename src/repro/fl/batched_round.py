@@ -252,8 +252,7 @@ class ClientCohort:
             cache.broadcast_signature(global_state) if cache is not None else None
         )
         pending: List[int] = []
-        for index, client in enumerate(self.clients):
-            client.resolve_round(round_index)
+        for index in range(n):
             if cache is not None:
                 hit = cache.lookup(index, round_index, signature)
                 if hit is not None:

@@ -97,24 +97,10 @@ class FederatedClient:
         # repro: allow[REP501] standalone-construction fallback; the engine always threads spec-derived seeds
         self.seeds = seeds or SeedSequence(0)
         self.self_labeling = bool(self_labeling)
-        self._round = 0
 
     @property
     def is_malicious(self) -> bool:
         return self.attack is not None
-
-    def resolve_round(self, round_index: Optional[int]) -> int:
-        """Pin the client to ``round_index`` (1-based) and return it.
-
-        ``None`` keeps the legacy self-counting behavior.  Both engines
-        call this first, so a server that satisfied earlier rounds from
-        the federate cache can still request round ``r`` and get
-        bit-identical randomness to an uncached federation.
-        """
-        if round_index is None:
-            round_index = self._round + 1
-        self._round = round_index
-        return round_index
 
     def begin_local_round(
         self, global_state: StateDict, round_index: int
@@ -155,9 +141,12 @@ class FederatedClient:
         )
 
     def local_update(
-        self, global_state: StateDict, round_index: Optional[int] = None
+        self, global_state: StateDict, round_index: int
     ) -> ClientUpdate:
-        """Run one round of local training and return the LM.
+        """Run round ``round_index`` (1-based) of local training and
+        return the LM.  Every rng stream is named by the round, so a
+        server that satisfied earlier rounds from the federate cache
+        still gets bit-identical randomness for round ``r``.
 
         The reference (serial) client engine: the batched engine
         (:class:`~repro.fl.batched_round.ClientCohort`) replays exactly
@@ -166,7 +155,6 @@ class FederatedClient:
         loop fold-stacked, and must stay bit-identical to this method at
         float64.
         """
-        round_index = self.resolve_round(round_index)
         dataset = self.begin_local_round(global_state, round_index)
         train_rng = client_round_rng(self.seeds, "train", round_index)
         loss = self.model.train_epochs(

@@ -8,7 +8,6 @@ their LMs back through the configured aggregation strategy.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -53,13 +52,6 @@ class FederatedServer:
         clients: Participating clients (honest and malicious alike; the
             server does not know which is which).
         seeds: Server-side seed sequence (pre-training shuffles).
-        max_workers: Thread count for concurrent client updates.  ``None``
-            or ``1`` keeps the strictly sequential loop (the default, and
-            the bit-for-bit reproducibility reference).  Parallel rounds
-            stay deterministic because every client draws from its own
-            per-client :class:`SeedSequence` and trains a private model
-            copy — results are identical to the sequential loop, in the
-            same client order, regardless of scheduling.
         update_cache: Optional federate round cache (see
             :class:`~repro.experiments.artifacts.RoundCache`).  When set,
             each round's per-client updates are looked up by (client
@@ -75,9 +67,7 @@ class FederatedServer:
             matmul training program.  Both engines share per-(client,
             round) rng streams and round-cache keys, so they produce
             bit-identical updates at float64 and interchangeably hit each
-            other's cache entries.  ``max_workers`` only affects the
-            serial engine (the batched engine's parallelism is the fold
-            axis itself).
+            other's cache entries.
     """
 
     def __init__(
@@ -86,14 +76,11 @@ class FederatedServer:
         strategy: AggregationStrategy,
         clients: Sequence[FederatedClient],
         seeds: Optional[SeedSequence] = None,
-        max_workers: Optional[int] = None,
         update_cache=None,
         client_engine: str = "serial",
     ):
         if not clients:
             raise ValueError("federation needs at least one client")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if client_engine not in CLIENT_ENGINES:
             raise ValueError(
                 f"unknown client_engine {client_engine!r}; "
@@ -108,7 +95,6 @@ class FederatedServer:
         self.clients = list(clients)
         # repro: allow[REP501] standalone-construction fallback; the engine always threads spec-derived seeds
         self.seeds = seeds or SeedSequence(1)
-        self.max_workers = max_workers
         self.update_cache = update_cache
         self.client_engine = client_engine
         self._cohort: Optional[ClientCohort] = None
@@ -141,13 +127,7 @@ class FederatedServer:
                 global_state, round_index, cache=self.update_cache
             )
         compute = self._update_fn(global_state, round_index)
-        workers = self.max_workers
-        if workers is None or workers <= 1 or len(self.clients) == 1:
-            return [compute(index) for index in range(len(self.clients))]
-        with ThreadPoolExecutor(
-            max_workers=min(workers, len(self.clients))
-        ) as executor:
-            return list(executor.map(compute, range(len(self.clients))))
+        return [compute(index) for index in range(len(self.clients))]
 
     def _update_fn(self, global_state: StateDict, round_index: int):
         """client index → :class:`ClientUpdate`, through the round cache

@@ -43,10 +43,6 @@ class FederationConfig:
         num_rounds: Federation rounds to run.
         pretrain_epochs / pretrain_lr: Server warm-up schedule (the paper
             uses 700 Adam epochs at 1e-3; fast presets shrink this).
-        max_workers: Thread count for concurrent client updates per round
-            (``None`` = strictly sequential, the reproducibility default;
-            parallel rounds produce identical results — see
-            :class:`~repro.fl.server.FederatedServer`).
         client_engine: ``"serial"`` (per-client Python loop, the bit-exact
             reference) or ``"batched"`` (fold-stacked cohort training, one
             3-D matmul program per round — see
@@ -64,14 +60,11 @@ class FederationConfig:
     num_rounds: int = 3
     pretrain_epochs: int = 60
     pretrain_lr: float = 0.001
-    max_workers: Optional[int] = None
     client_engine: str = "serial"
 
     def __post_init__(self):
         if self.num_clients <= 0:
             raise ValueError("num_clients must be positive")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1 when set")
         if self.client_engine not in CLIENT_ENGINES:
             raise ValueError(
                 f"unknown client_engine {self.client_engine!r}; "
@@ -175,6 +168,5 @@ def build_federation(
         strategy=strategy,
         clients=clients,
         seeds=seeds.child("server"),
-        max_workers=config.max_workers,
         client_engine=config.client_engine,
     )

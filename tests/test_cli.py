@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
 import os
+import re
 
 import pytest
 
@@ -128,6 +130,21 @@ class TestParser:
         )
         assert args.executor == "serial"
 
+    def test_thread_executor_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "fig4", "--executor", "thread"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "'thread'" in err and "process" in err
+
+    def test_cell_timeout_without_process_pool_is_usage_error(self, capsys):
+        for extra in ([], ["--jobs", "2", "--executor", "serial"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["experiment", "fig4", "--cell-timeout", "30", *extra])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "--cell-timeout needs a process pool (--jobs)" in err
+
     def test_bad_fault_knob_values_are_usage_errors(self):
         for argv in (
             ["experiment", "fig4", "--retries", "-1"],
@@ -189,7 +206,11 @@ class TestExperimentCommand:
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "Fig. 4" in first
-        assert "pretrain: 1 trained" in first
+        # each of the two worker processes pre-trains at most once; the
+        # shared cache serves the other cells
+        counts = re.search(r"pretrain: (\d+) trained, (\d+) reused", first)
+        trained, reused = map(int, counts.groups())
+        assert 1 <= trained <= 2 and trained + reused == 6
         assert "0 cells resumed" in first
         # second invocation resumes every cell from the cache dir
         assert main(argv + ["--resume"]) == 0
@@ -260,6 +281,28 @@ class TestSweepCommand:
     def test_spec_required(self):
         with pytest.raises(SystemExit):
             main(["sweep"])
+
+    def test_cell_timeout_check_reads_the_spec_engine_block(
+        self, capsys, tmp_path
+    ):
+        """A spec's engine hints count as options: its ``jobs`` gives a
+        ``--cell-timeout`` flag its pool, and ``--executor serial``
+        takes the pool its ``cell_timeout`` needs."""
+        with open(os.path.join(GOLDEN_DIR, "table1.json")) as handle:
+            payload = json.load(handle)
+        spec = tmp_path / "table1.json"
+        payload["engine"] = {"cell_timeout": 30, "jobs": 2}
+        spec.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--spec", str(spec), "--executor", "serial"])
+        assert excinfo.value.code == 2
+        assert "needs a process pool" in capsys.readouterr().err
+        # footprint cells run inline even on a pool, so this is quick
+        payload["engine"] = {"jobs": 2}
+        spec.write_text(json.dumps(payload))
+        argv = ["sweep", "--spec", str(spec), "--cell-timeout", "30"]
+        assert main(argv) == 0
+        assert "Table I" in capsys.readouterr().out
 
 
 class TestFailureExitCodes:

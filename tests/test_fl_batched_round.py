@@ -83,13 +83,12 @@ def _clients(n=5, malicious=(4,), n_samples=30):
     return clients
 
 
-def _server(engine, clients=None, cache=None, max_workers=None):
+def _server(engine, clients=None, cache=None):
     return FederatedServer(
         _model(99),
         FedAvg(),
         clients if clients is not None else _clients(),
         seeds=SeedSequence(7),
-        max_workers=max_workers,
         update_cache=cache,
         client_engine=engine,
     )
@@ -117,8 +116,6 @@ def _batched_group_sizes(clients, gm, round_index=1):
     path (>1 fold and a resolved program) — the engagement probe."""
     cohort = ClientCohort(clients)
     pending = list(range(len(clients)))
-    for index in pending:
-        clients[index].resolve_round(round_index)
     prepared = {
         index: clients[index].begin_local_round(gm, round_index)
         for index in pending
@@ -156,7 +153,6 @@ class TestRoundSeedHelper:
 
         replayed = _clients(n=2)
         for client, expected in zip(replayed, updates):
-            client.resolve_round(2)
             dataset = client.begin_local_round(gm, 2)
             loss = client.model.train_epochs(
                 dataset,
@@ -171,13 +167,6 @@ class TestRoundSeedHelper:
                 np.testing.assert_array_equal(
                     update.state[key], expected.state[key]
                 )
-
-    def test_resolve_round_keeps_legacy_self_counting(self):
-        client = _clients(n=1, malicious=())[0]
-        assert client.resolve_round(None) == 1
-        assert client.resolve_round(None) == 2
-        assert client.resolve_round(7) == 7
-        assert client.resolve_round(None) == 8
 
 
 class TestEngineValidation:
@@ -257,8 +246,6 @@ class TestSerialBatchedEquivalence:
         cohort = ClientCohort(clients)
         gm = _model(9).state_dict()
         pending = list(range(5))
-        for index in pending:
-            clients[index].resolve_round(1)
         prepared = {
             index: clients[index].begin_local_round(gm, 1)
             for index in pending
@@ -266,13 +253,6 @@ class TestSerialBatchedEquivalence:
         groups = cohort._partition(pending, prepared, {}, {})
         sizes = sorted(len(group) for group in groups)
         assert sizes == [1, 4]  # honest fold group + attacker singleton
-
-    def test_batched_matches_threaded_serial(self):
-        serial = _server("serial", max_workers=3)
-        batched = _server("batched")
-        serial.run_rounds(2)
-        batched.run_rounds(2)
-        _assert_histories_equal(serial, batched)
 
 
 class TestCompositeCohortEquivalence:
@@ -545,9 +525,8 @@ class TestAnyTwoPathsAgree:
     @pytest.mark.parametrize(
         "client_engine,jobs,executor,round_cache",
         [
-            ("batched", None, "thread", False),
-            ("batched", None, "thread", True),
-            ("serial", 2, "thread", True),
+            ("batched", None, "serial", False),
+            ("batched", None, "serial", True),
             ("batched", 2, "process", True),
         ],
     )

@@ -54,7 +54,7 @@ class TestFederatedClient:
             seeds=SeedSequence(3),
         )
         gm = _model(9).state_dict()
-        update = client.local_update(gm)
+        update = client.local_update(gm, round_index=1)
         assert isinstance(update, ClientUpdate)
         assert update.client_name == "c0"
         assert update.num_samples == 30
@@ -67,11 +67,33 @@ class TestFederatedClient:
             seeds=SeedSequence(3),
         )
         gm = _model(9).state_dict()
-        update = client.local_update(gm)
+        update = client.local_update(gm, round_index=1)
         # at lr 1e-6 the LM barely moves: it must be near the broadcast GM,
         # not near the client model's original weights
         for key in gm:
             assert np.abs(update.state[key] - gm[key]).max() < 1e-2
+
+    def test_round_is_an_argument_not_client_state(self):
+        """A client asked for round 2 first trains exactly as one that
+        already ran round 1: every rng stream is named by the round."""
+
+        def client():
+            return FederatedClient(
+                "c0", _model(), _dataset(), ClientConfig(epochs=2, lr=0.01),
+                attack=LabelFlip(1.0, num_classes=NUM_RPS),
+                seeds=SeedSequence(3),
+            )
+
+        gm = _model(9).state_dict()
+        warmed = client()
+        warmed.local_update(gm, round_index=1)
+        expected = warmed.local_update(gm, round_index=2)
+        fresh = client().local_update(gm, round_index=2)
+        assert fresh.train_loss == expected.train_loss
+        for key in gm:
+            np.testing.assert_array_equal(
+                fresh.state[key], expected.state[key]
+            )
 
     def test_malicious_flag(self):
         client = FederatedClient(
@@ -81,7 +103,7 @@ class TestFederatedClient:
             seeds=SeedSequence(3),
         )
         assert client.is_malicious
-        update = client.local_update(_model(9).state_dict())
+        update = client.local_update(_model(9).state_dict(), round_index=1)
         assert update.is_malicious
 
     def test_self_labeling_uses_model_predictions(self):
@@ -91,7 +113,7 @@ class TestFederatedClient:
             "c0", model, ds, ClientConfig(epochs=1, lr=1e-6),
             seeds=SeedSequence(3), self_labeling=True,
         )
-        client.local_update(_model(9).state_dict())
+        client.local_update(_model(9).state_dict(), round_index=1)
         # the client's own dataset must stay untouched
         assert ds.labels.max() < NUM_RPS
 

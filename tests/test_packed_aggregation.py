@@ -1,12 +1,11 @@
-"""Packed-engine equivalence, parallel-round determinism, dtype policy.
+"""Packed-engine equivalence and dtype policy.
 
 Every aggregation strategy now runs on the packed ``(n_clients,
 n_params)`` matrix; these tests pin the packed path to the legacy
 per-key dict path within 1e-10 for random cohorts (honest-only,
 single-attacker, and the coordinated multi-attacker shapes from
-``test_multi_attacker``), and pin the new execution knobs: threaded
-client rounds must be bit-identical to the sequential loop, and the
-compute-dtype switch must thread float32 end to end.
+``test_multi_attacker``), and pin the compute-dtype switch: float32
+must thread end to end.
 """
 
 import numpy as np
@@ -18,15 +17,13 @@ from repro.baselines.fedhil import SelectiveAggregation
 from repro.baselines.fedls import summarize_delta, summarize_packed_deltas
 from repro.baselines.krum import KrumAggregation
 from repro.core.saliency import SaliencyAggregation
-from repro.data.datasets import FingerprintDataset
-from repro.fl import FedAvg, FederatedClient, FederatedServer, PackedStates, PackLayout
+from repro.fl import FedAvg, PackedStates, PackLayout
 from repro.fl.aggregation import ClientUpdate
-from repro.fl.client import ClientConfig
 from repro.fl.packed import cosine_similarity_matrix, pairwise_sq_distances
 from repro.fl.robust import CoordinateMedian, NormClipping, TrimmedMean
 from repro.fl.state import state_cosine_similarity, state_sub
 from repro.nn import Linear, Sigmoid, compute_dtype, default_dtype, sigmoid
-from repro.utils.rng import SeedSequence, fallback_rng, seed_fallback_rng
+from repro.utils.rng import fallback_rng, seed_fallback_rng
 
 TOL = 1e-10
 
@@ -256,67 +253,6 @@ class TestPackedStates:
 
 
 NUM_APS, NUM_RPS = 10, 6
-
-
-def _dataset(seed, n=24):
-    rng = np.random.default_rng(seed)
-    return FingerprintDataset(
-        rng.uniform(0, 1, size=(n, NUM_APS)),
-        rng.integers(0, NUM_RPS, size=n),
-        building="b",
-        device="d",
-    )
-
-
-def _federation(max_workers, strategy=None, num_clients=4):
-    clients = [
-        FederatedClient(
-            f"c{i}",
-            DNNLocalizer(NUM_APS, NUM_RPS, hidden=(12,), seed=i),
-            _dataset(i),
-            ClientConfig(epochs=2, lr=0.01),
-            seeds=SeedSequence(i),
-        )
-        for i in range(num_clients)
-    ]
-    return FederatedServer(
-        DNNLocalizer(NUM_APS, NUM_RPS, hidden=(12,), seed=99),
-        strategy or FedAvg(),
-        clients,
-        SeedSequence(7),
-        max_workers=max_workers,
-    )
-
-
-class TestParallelRounds:
-    def test_parallel_matches_sequential_bit_for_bit(self):
-        sequential = _federation(max_workers=None)
-        parallel = _federation(max_workers=4)
-        for _ in range(2):
-            sequential.run_round()
-            parallel.run_round()
-        seq_state = sequential.model.state_dict()
-        par_state = parallel.model.state_dict()
-        for key in seq_state:
-            np.testing.assert_array_equal(seq_state[key], par_state[key])
-
-    def test_parallel_preserves_client_order(self):
-        record = _federation(max_workers=3).run_round()
-        assert [u.client_name for u in record.updates] == [
-            "c0", "c1", "c2", "c3",
-        ]
-
-    def test_parallel_with_saliency_strategy(self):
-        seq = _federation(None, SaliencyAggregation())
-        par = _federation(2, SaliencyAggregation())
-        seq.run_round()
-        par.run_round()
-        for key, value in seq.model.state_dict().items():
-            np.testing.assert_array_equal(value, par.model.state_dict()[key])
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            _federation(max_workers=0)
 
 
 class TestComputeDtype:

@@ -1,5 +1,5 @@
 """Fault-tolerance tests: the scheduler, the chaos harness, and the
-(raise | hang | kill) × (thread | process) fault matrix.
+(raise | hang | kill) fault matrix on the process pool.
 
 Scheduler-level tests drive :class:`CellScheduler` with cheap stub cell
 bodies, so retry/backoff/timeout/abort logic is exercised in
@@ -27,9 +27,9 @@ from repro.experiments.scheduler import (
     CellFailure,
     CellScheduler,
     CellTimeout,
+    ProcessBackend,
     SerialBackend,
     SweepInterrupted,
-    ThreadBackend,
     backoff_delay,
 )
 
@@ -60,6 +60,33 @@ def summaries_of(sweep):
 def cell_store_count(tmp_path) -> int:
     cells = tmp_path / "cache" / "cells"
     return len(list(cells.glob("*.json"))) if cells.exists() else 0
+
+
+def apply_body(task):
+    """Process-pool entry point: run a module-level stub cell body."""
+    body, index, attempt = task
+    return body(index, attempt)
+
+
+def flaky_body(index, attempt):
+    """Cell 1 fails its first attempt."""
+    if index == 1 and attempt == 0:
+        raise RuntimeError("transient")
+    return index
+
+
+def hang_cell_1(index, attempt):
+    """Cell 1 hangs past any test timeout."""
+    if index == 1:
+        time.sleep(3.0)
+    return index
+
+
+def slow_first_body(index, attempt):
+    """Cell 0 hangs on its first attempt; returns the finishing one."""
+    if index == 0 and attempt == 0:
+        time.sleep(3.0)
+    return index, attempt
 
 
 class TestChaosSpec:
@@ -119,8 +146,10 @@ class TestSchedulerUnit:
     def run_scheduler(body, n=3, backend="serial", workers=2, **kwargs):
         if backend == "serial":
             built = SerialBackend(body)
-        else:
-            built = ThreadBackend(body, workers)
+        else:  # the body must be module-level, so workers can import it
+            built = ProcessBackend(
+                apply_body, lambda i, a: (body, i, a), workers
+            )
         scheduler = CellScheduler(
             built, backoff_base=kwargs.pop("backoff_base", 0.01), **kwargs
         )
@@ -138,14 +167,11 @@ class TestSchedulerUnit:
         assert seen == [(0, 0), (1, 10), (2, 20)]
         assert not scheduler.failures
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_transient_failure_heals_with_retry(self, backend):
-        def body(index, attempt):
-            if index == 1 and attempt == 0:
-                raise RuntimeError("transient")
-            return index
-
-        scheduler = self.run_scheduler(body, backend=backend, retries=1)
+        scheduler = self.run_scheduler(
+            flaky_body, backend=backend, retries=1
+        )
         assert scheduler.results == {0: 0, 1: 1, 2: 2}
         assert scheduler.retried == 1
         assert not scheduler.failures
@@ -185,16 +211,11 @@ class TestSchedulerUnit:
         scheduler = self.run_scheduler(body, on_error="continue")
         assert scheduler.failures[0].kind == "crash"
 
-    def test_thread_timeout_abandons_and_records(self):
-        def body(index, attempt):
-            if index == 1:
-                time.sleep(3.0)
-            return index
-
+    def test_process_timeout_restarts_and_records(self):
         scheduler = self.run_scheduler(
-            body,
-            backend="thread",
-            cell_timeout=0.3,
+            hang_cell_1,
+            backend="process",
+            cell_timeout=1.0,
             on_error="continue",
         )
         assert set(scheduler.results) == {0, 2}
@@ -202,24 +223,16 @@ class TestSchedulerUnit:
         assert scheduler.timed_out == 1
 
     def test_timeout_retry_then_heal(self):
-        calls = []
-
-        def body(index, attempt):
-            calls.append((index, attempt))
-            if index == 0 and attempt == 0:
-                time.sleep(3.0)
-            return index
-
         scheduler = self.run_scheduler(
-            body,
-            backend="thread",
-            cell_timeout=0.3,
+            slow_first_body,
+            backend="process",
+            cell_timeout=1.0,
             retries=1,
             on_error="abort",
         )
-        assert scheduler.results == {0: 0, 1: 1, 2: 2}
+        # cell 0's result came from the re-dispatched attempt 1
+        assert scheduler.results == {0: (0, 1), 1: (1, 0), 2: (2, 0)}
         assert scheduler.timed_out == 1 and scheduler.retried == 1
-        assert (0, 1) in calls  # the re-dispatch ran attempt 1
 
     def test_interrupt_raises_sweep_interrupted(self):
         def body(index, attempt):
@@ -258,6 +271,30 @@ class TestEngineKnobValidation:
         with pytest.raises(ValueError):
             SweepEngine(chaos="not-a-token")
 
+    def test_cell_timeout_needs_a_process_pool(self):
+        for options in ({}, {"jobs": 2, "executor": "serial"}):
+            with pytest.raises(ValueError, match="needs a process pool"):
+                SweepEngine(
+                    cell_timeout=0.2,
+                    on_error="continue",
+                    chaos="0:hang:hang_s=1.5",
+                    **options,
+                )
+        SweepEngine(cell_timeout=0.2, jobs=1)  # one worker can be killed
+
+    def test_report_names_the_backend_that_ran(self):
+        plan = SweepPlan(
+            name="report",
+            preset=mini_preset(),
+            cells=(scenario("safeloc", attack="fgsm", epsilon=0.5),),
+        )
+        inline = SweepEngine().run(plan)
+        assert (inline.jobs, inline.executor) == (1, "serial")
+        assert "jobs=1, serial)" in inline.format_stats()
+        # the pool is sized to the pending cells, not to --jobs
+        pooled = SweepEngine(jobs=4).run(plan)
+        assert (pooled.jobs, pooled.executor) == (1, "process")
+
     def test_serial_executor_is_accepted(self):
         sweep = SweepEngine(jobs=4, executor="serial").run(
             SweepPlan(
@@ -271,13 +308,12 @@ class TestEngineKnobValidation:
 
 
 class TestFaultMatrix:
-    """(raise | hang | kill) × (thread | process): the sweep completes,
+    """(raise | hang | kill) on a process pool: the sweep completes,
     healthy cells persist, resume re-runs only the injured cell, and
     survivors are bit-identical to a clean sequential run."""
 
     #: per-mode knobs: hang needs a timeout to be observable, and the
-    #: hang must outlive it on both backends (an abandoned thread keeps
-    #: sleeping — keep it short enough to drain before pytest exits)
+    #: hang must outlive it
     MODES = {
         "raise": dict(chaos="1:raise", cell_timeout=None),
         "hang": dict(chaos="1:hang:hang_s=12", cell_timeout=4),
@@ -289,17 +325,16 @@ class TestFaultMatrix:
     def reference(self):
         return SweepEngine().run(tri_plan(mini_preset()))
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
     @pytest.mark.parametrize("mode", ["raise", "hang", "kill"])
     def test_injured_sweep_completes_and_resumes(
-        self, mode, executor, reference, tmp_path
+        self, mode, reference, tmp_path
     ):
         knobs = self.MODES[mode]
         cache = str(tmp_path / "cache")
         plan = tri_plan(mini_preset())
         injured = SweepEngine(
-            jobs=1 if executor == "process" else 2,
-            executor=executor,
+            jobs=1,
+            executor="process",
             cache_dir=cache,
             on_error="continue",
             cell_timeout=knobs["cell_timeout"],
@@ -319,8 +354,8 @@ class TestFaultMatrix:
         assert cell_store_count(tmp_path) == 2
         # resume: only the injured cell re-runs, results bit-identical
         resumed = SweepEngine(
-            jobs=1 if executor == "process" else 2,
-            executor=executor,
+            jobs=1,
+            executor="process",
             cache_dir=cache,
             resume=True,
         ).run(plan)
@@ -332,18 +367,15 @@ class TestFaultMatrix:
             c.flagged_per_round for c in reference.cells
         ]
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_retry_heals_bit_identically(
-        self, executor, reference
-    ):
+    def test_retry_heals_bit_identically(self, reference):
         """A transient injury plus one retry yields a complete sweep
         whose every cell matches the clean sequential reference."""
         healed = SweepEngine(
             jobs=2,
-            executor=executor,
+            executor="process",
             retries=1,
             backoff_base=0.05,
-            chaos="1:raise" if executor == "thread" else "1:kill",
+            chaos="1:kill",
         ).run(tri_plan(mini_preset()))
         assert not healed.failures
         assert healed.retried >= 1

@@ -9,6 +9,7 @@ import pytest
 from repro.experiments.engine import (
     SPEC_SCHEMA_VERSION,
     ScenarioSpec,
+    SweepEngine,
     SweepPlan,
     scenario,
 )
@@ -16,6 +17,7 @@ from repro.experiments.scenarios import Preset, get_preset, tiny_preset
 from repro.experiments.specio import (
     SpecValidationError,
     load_plan,
+    payload_to_json,
     plan_to_json,
     save_plan,
     validate_plan_payload,
@@ -93,6 +95,31 @@ class TestGoldenFiles:
         plan = load_plan(os.path.join(GOLDEN_DIR, f"{artefact}.json"))
         assert plan.name == artefact
         assert plan.preset == tiny_preset()
+
+    def test_spec_with_retired_max_workers_loads_the_same_plan(
+        self, tmp_path
+    ):
+        """Specs saved while presets still had the thread-round knob
+        carry ``"max_workers": null``; they load to the same plan, and
+        every cell keeps its resume-cache key."""
+        import repro.api as api
+
+        path = os.path.join(GOLDEN_DIR, "fig4.json")
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["preset"]["max_workers"] = None
+        older = tmp_path / "fig4.json"  # the golden file's earlier bytes
+        older.write_text(payload_to_json(payload))
+        current = load_plan(path)
+        for loaded in (
+            load_plan(str(older)),
+            api.validate_spec(json.loads(older.read_text())),
+        ):
+            assert loaded == current
+            engine = SweepEngine()
+            assert [engine._cell_key(loaded, c) for c in loaded.cells] == [
+                engine._cell_key(current, c) for c in current.cells
+            ]
 
 
 class TestValidation:
@@ -225,6 +252,32 @@ class TestValidation:
         # partial grid: the collector fallback returns the raw sweep
         assert len(result.failures) == 1
         assert result.failures[0].error_type == "ChaosError"
+
+    def test_thread_executor_hint_rejected(self):
+        payload = self.payload()
+        payload["engine"] = {"executor": "thread"}
+        with pytest.raises(SpecValidationError) as excinfo:
+            validate_plan_payload(payload)
+        assert excinfo.value.errors == [
+            "engine.executor: unknown value 'thread'; choices: "
+            "['serial', 'process']"
+        ]
+
+    def test_cell_timeout_without_process_pool_rejected(self):
+        import repro.api as api
+
+        path = os.path.join(GOLDEN_DIR, "fig4.json")
+        for options in ({}, {"jobs": 2, "executor": "serial"}):
+            with pytest.raises(ValueError, match="needs a process pool"):
+                api.run_spec(path, cell_timeout=5, **options)
+            payload = self.payload()
+            payload["engine"] = {"cell_timeout": 5, **options}
+            with pytest.raises(SpecValidationError) as excinfo:
+                validate_plan_payload(payload)
+            assert excinfo.value.errors == [
+                "engine.cell_timeout needs a process pool (engine.jobs) — "
+                "an inline cell cannot be preempted"
+            ]
 
     def test_footprint_cells_need_shape(self):
         payload = build_plan("table1").to_dict()

@@ -123,7 +123,10 @@ class TestHostilePayloads:
             ("preset", "num_clients", 0),
             ("preset", "num_malicious", 9),
             ("preset", "num_rounds", 0),
-            ("preset", "max_workers", 0),
+            ("preset", "client_epochs", 0),
+            ("preset", "malicious_epochs", 0),
+            ("preset", "client_lr", 0),
+            ("preset", "malicious_lr", -0.5),
             ("preset", "rp_fraction", 1.5),
             ("cell", "building", "nope"),
             ("cell", "num_clients", -1),
@@ -182,6 +185,18 @@ class TestOneDeclaration:
         with pytest.raises(SpecValidationError, match="client_engine"):
             builder.save_spec(str(path))
         assert not path.exists()
+
+    def test_facade_rejects_a_client_schedule_no_cell_can_run(self):
+        builder = (
+            api.experiment("fig4").preset("tiny")
+            .override(client_epochs=0, malicious_lr=0.0)
+        )
+        with pytest.raises(SpecValidationError) as excinfo:
+            builder.spec()
+        assert excinfo.value.errors == [
+            "preset.client_epochs: must be >= 1, got 0",
+            "preset.malicious_lr: must be > 0, got 0.0",
+        ]
 
     def test_saved_hints_replay(self, tmp_path):
         path = str(tmp_path / "fig4.json")

@@ -172,7 +172,7 @@ class TestStagedCaching:
 
 
 class TestDeterminism:
-    """Same seed ⇒ identical SweepResult sequentially, threaded, resumed."""
+    """Same seed ⇒ identical SweepResult sequentially, pooled, resumed."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -368,11 +368,10 @@ class TestProcessExecutor:
         assert summaries_of(pooled) == summaries_of(reference)
         assert pooled.stats["pretrain"]["hits"] == len(pooled.cells)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_resumed_cells_keep_requested_label(self, executor, tmp_path):
+    def test_resumed_cells_keep_requested_label(self, tmp_path):
         """Resume relabeling (cache keys are label-free) must survive
-        parallel execution on either pool: resumed cells come back
-        wearing the *requested* spec, fresh cells run on the pool."""
+        pooled execution: resumed cells come back wearing the
+        *requested* spec, fresh cells run on the pool."""
         preset = mini_preset()
         cache = str(tmp_path / "cache")
         stored = eps_plan(preset, name="a").cells
@@ -388,11 +387,21 @@ class TestProcessExecutor:
             for i, spec in enumerate(stored)
         )
         resumed = SweepEngine(
-            jobs=2, executor=executor, cache_dir=cache, resume=True
+            jobs=2, executor="process", cache_dir=cache, resume=True
         ).run(SweepPlan(name="b", preset=preset, cells=requested))
         assert resumed.resumed_count() == len(requested)
         assert tuple(c.spec for c in resumed.cells) == requested
         assert all(c.spec.label.startswith("wanted/") for c in resumed.cells)
+
+    def test_fully_resumed_sweep_reports_no_pool(self, tmp_path):
+        """Nothing left to run starts no pool: the report names the
+        inline backend, whatever --jobs asked for."""
+        cache = str(tmp_path / "cache")
+        plan = eps_plan(mini_preset())
+        SweepEngine(cache_dir=cache).run(plan)
+        resumed = SweepEngine(jobs=2, cache_dir=cache, resume=True).run(plan)
+        assert resumed.resumed_count() == len(plan.cells)
+        assert (resumed.jobs, resumed.executor) == (1, "serial")
 
 
 class TestRoundCache:
