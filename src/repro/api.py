@@ -198,8 +198,9 @@ class ExperimentBuilder:
     ) -> "ExperimentBuilder":
         """Per-cell wall-clock budget; a hung cell's worker process is
         killed, the cell retried (see :meth:`retries`) and ultimately
-        failed with a ``timeout`` record.  Needs a process pool
-        (:meth:`jobs`).  ``None`` (default) = unlimited."""
+        failed with a ``timeout`` record.  Cells then run on worker
+        processes, one without :meth:`jobs`.  ``None`` (default) =
+        unlimited."""
         seconds = None if seconds is None else float(seconds)
         return self._set("cell_timeout", seconds)
 

@@ -84,17 +84,6 @@ def _engine_options(args: argparse.Namespace) -> dict:
     return options
 
 
-def _spec_engine_block(path: str) -> dict:
-    """A sweep spec's ``engine`` block, or ``{}`` when the spec does not
-    load (``sweep`` then reports its problems itself)."""
-    from repro.experiments.specio import SpecValidationError, load_payload
-
-    try:
-        return load_payload(path).get("engine") or {}
-    except SpecValidationError:
-        return {}
-
-
 def _engine(args: argparse.Namespace):
     from repro.experiments.engine import SweepEngine
 
@@ -180,6 +169,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.engine import EngineOptionsError
+
     api = _api()
     try:
         result = api.run_spec(
@@ -190,6 +181,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except api.SpecValidationError as error:
         print(error, file=sys.stderr)
         return 1
+    except EngineOptionsError as error:
+        # the flags, completed by the spec's engine block, cannot run
+        print(f"repro sweep: error: {error}", file=sys.stderr)
+        return 2
     return _print_result(result)
 
 
@@ -391,14 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "jobs"):  # a command with engine flags
+    # a command with engine flags; a sweep's spec may set options its
+    # flags leave unset, so run_spec checks them once they are merged
+    if hasattr(args, "jobs") and args.command != "sweep":
         from repro.experiments.engine import EngineOptions
 
-        options = _engine_options(args)
-        if args.command == "sweep":
-            # the spec's engine block fills the options left unset
-            options = {**_spec_engine_block(args.spec), **options}
-        problems = EngineOptions.problems(options, _flag)
+        problems = EngineOptions.problems(_engine_options(args), _flag)
         if problems:
             parser.error("; ".join(problems))
     from repro.experiments.scheduler import SweepInterrupted

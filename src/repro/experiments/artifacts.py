@@ -192,6 +192,15 @@ class ArtifactCache:
             self.stats.record(stage, hit=hit)
             return artifact, hit
 
+    def holds(self, stage: str, key: str, suffix: str = ".npz") -> bool:
+        """Whether a lookup of this stage/key would hit (memo or disk),
+        without loading anything or counting a lookup."""
+        with self._memo_lock:
+            if (stage, key) in self._memo:
+                return True
+        path = self._path(stage, key, suffix)
+        return path is not None and os.path.exists(path)
+
     def _path(self, stage: str, key: str, suffix: str = "") -> Optional[str]:
         if self.cache_dir is None:
             return None

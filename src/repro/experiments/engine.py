@@ -19,7 +19,8 @@ loops around a monolithic ``run_framework``.  Here the grid is **data**:
   :class:`~repro.utils.rng.SeedSequence` streams and shares no mutable
   state — process workers receive cells as JSON-native payloads and
   return npz/json-serialized :class:`CellResult` records, so sweeps
-  scale past the GIL on multi-core hosts;
+  scale past the GIL on multi-core hosts (a pre-train several pending
+  cells share runs in the parent first, so forked workers inherit it);
 * both executors dispatch through one fault-tolerant scheduler
   (:mod:`repro.experiments.scheduler`): per-cell wall-clock timeouts,
   bounded retry with exponential backoff, crash recovery that rebuilds
@@ -52,15 +53,15 @@ pre-training) all share one pre-train per building.
 
 from __future__ import annotations
 
-import threading
+import contextlib
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.attacks import create_attack
 from repro.baselines.registry import make_framework
-from repro.data.buildings import Building, list_buildings
-from repro.data.datasets import FingerprintDataset
+from repro.data.buildings import list_buildings
 from repro.data.fingerprints import paper_protocol
 from repro.experiments.artifacts import (
     ArtifactCache,
@@ -98,8 +99,14 @@ SPEC_SCHEMA_VERSION = 1
 #: ``serial`` forces inline execution regardless of ``jobs``; ``process``
 #: (the default) runs ``jobs`` cells on a pool of worker processes — even
 #: a one-worker pool isolates cells in killable, timeout-enforceable
-#: workers — and runs inline while ``jobs`` is unset.
+#: workers — and runs inline while ``jobs`` and ``cell_timeout`` are
+#: unset.
 EXECUTORS = ("serial", "process")
+
+
+class EngineOptionsError(ValueError):
+    """Engine options that cannot run: a value out of range, or knobs
+    that do not work together."""
 
 
 @dataclass(frozen=True)
@@ -119,7 +126,8 @@ class EngineOptions:
     jobs: Optional[int] = knob(
         None, min=1, spec=True,
         help="run sweep cells on N worker processes (results are "
-        "bit-identical to sequential; default sequential)",
+        "bit-identical to sequential; default inline, or one worker "
+        "when a cell timeout is set)",
     )
     executor: str = knob(
         "process", choices=EXECUTORS, spec=True,
@@ -148,7 +156,8 @@ class EngineOptions:
         None, gt=0, spec=True, metavar="SECONDS",
         help="per-cell wall-clock budget: a hung cell's worker process "
         "is killed, the cell retried (--retries) and ultimately reported "
-        "as a timeout failure; needs a process pool (--jobs), and "
+        "as a timeout failure; cells then run on a process pool (one "
+        "worker without --jobs; not with --executor serial), and "
         "footprint plans run inline, unbounded (default: unlimited)",
     )
     retries: int = knob(
@@ -168,7 +177,7 @@ class EngineOptions:
     def __post_init__(self) -> None:
         problems = self.problems(asdict(self))
         if problems:
-            raise ValueError("; ".join(problems))
+            raise EngineOptionsError("; ".join(problems))
 
     @staticmethod
     def problems(
@@ -185,12 +194,14 @@ class EngineOptions:
                 f"{where('resume')} needs {where('cache_dir')} — there is "
                 f"nowhere to resume finished cells from"
             )
-        if values.get("cell_timeout") is not None and (
-            values.get("jobs") is None or values.get("executor") == "serial"
+        if (
+            values.get("cell_timeout") is not None
+            and values.get("executor") == "serial"
         ):
             problems.append(
-                f"{where('cell_timeout')} needs a process pool "
-                f"({where('jobs')}) — an inline cell cannot be preempted"
+                f"{where('cell_timeout')} needs the process executor — "
+                f"{where('executor')} serial runs cells inline, where a "
+                f"cell cannot be preempted"
             )
         return problems
 
@@ -458,14 +469,17 @@ class SweepPlan:
         :class:`~repro.experiments.specio.SpecValidationError` listing
         every problem is raised before any construction is attempted.
         """
-        if validate:
-            from repro.experiments.specio import validate_plan_payload
+        from repro.experiments.specio import (
+            current_preset,
+            validate_plan_payload,
+        )
 
+        if validate:
             validate_plan_payload(payload)
         return cls(
             name=payload["name"],
             kind=payload.get("kind", "federation"),
-            preset=Preset.from_dict(payload["preset"]),
+            preset=Preset.from_dict(current_preset(payload["preset"])),
             cells=tuple(
                 ScenarioSpec.from_dict(cell) for cell in payload["cells"]
             ),
@@ -661,7 +675,6 @@ class SweepEngine:
         self.chaos = resolve_chaos(chaos)
         self.artifacts = ArtifactCache(self.options.cache_dir)
         self._sig_memo: Dict[tuple, str] = {}
-        self._sig_lock = threading.Lock()
 
     # -- public API --------------------------------------------------------
     def run(self, plan: SweepPlan) -> SweepResult:
@@ -751,15 +764,21 @@ class SweepEngine:
                 )
             results[index] = result
 
+        backend = self._backend(plan, len(pending))
         scheduler = CellScheduler(
-            self._backend(plan, len(pending)),
+            backend,
             cell_timeout=self.options.cell_timeout,
             retries=self.options.retries,
             on_error=self.options.on_error,
             backoff_base=self.backoff_base,
             on_complete=complete,
         )
+        worker_key = (self.artifacts.cache_dir, self.options.round_cache)
         try:
+            if isinstance(backend, ProcessBackend):
+                # forked workers run their cells on a copy of this engine
+                _WORKER_ENGINES[worker_key] = self
+                self._warm_shared_pretrains(plan, pending)
             scheduler.run(pending)
         except SweepInterrupted as interrupt:
             # count everything a re-invocation with --resume will skip:
@@ -772,7 +791,25 @@ class SweepEngine:
             interrupt.total = len(plan.cells)
             interrupt.plan_name = plan.name
             raise
+        finally:
+            _WORKER_ENGINES.pop(worker_key, None)
         return [cell for cell in results if cell is not None], scheduler
+
+    def _warm_shared_pretrains(
+        self, plan: SweepPlan, pending: List[int]
+    ) -> None:
+        """Make each pre-train (and its data) that two or more pending
+        cells share here, before the pool forks, so it is made once and
+        not once per worker.  A stage that fails is left to its cells."""
+        shared = Counter(_pretrain_identity(plan, i) for i in pending)
+        for index in pending:
+            if shared.pop(_pretrain_identity(plan, index), 0) > 1:
+                # the cell meets the error again in its worker, where
+                # the scheduler records it
+                with contextlib.suppress(Exception):
+                    self._pretrain_stage(
+                        plan.preset, plan.cells[index], warm=True
+                    )
 
     def _backend(self, plan: SweepPlan, pending: int):
         """Pick the executor backend for a plan's pending cells.
@@ -781,11 +818,13 @@ class SweepEngine:
         cells would contend for the CPU and inflate every measurement —
         so they always run inline, as do sweeps without ``jobs``, with
         ``executor="serial"``, or with nothing left to run.  Otherwise
-        the cells go to a process pool of ``jobs`` workers (a one-worker
-        pool still isolates cells in killable, timeout-enforceable
-        workers).
+        the cells go to a process pool of ``jobs`` workers.  A
+        ``cell_timeout`` without ``jobs`` gets a one-worker pool: only a
+        worker process can be killed when its cell overruns.
         """
         jobs = self.options.jobs
+        if jobs is None and self.options.cell_timeout is not None:
+            jobs = 1
         if (
             plan.kind == "footprint"
             or jobs is None
@@ -858,37 +897,17 @@ class SweepEngine:
         self, preset: Preset, spec: ScenarioSpec
     ) -> CellResult:
         building_name = spec.building or preset.buildings[0]
-        building, train, tests, data_key = self._data(preset, building_name)
-        framework = make_framework(
-            spec.framework,
-            building.num_aps,
-            building.num_rps,
-            seed=preset.seed,
-            **spec.kwargs,
-        )
+        (
+            building, tests, data_key, framework, config, pretrained,
+            pretrain_hit,
+        ) = self._pretrain_stage(preset, spec)
         strategy = (
             registry.create("aggregations", spec.strategy)
             if spec.strategy
             else framework.strategy
         )
-        effective_malicious = (
-            (
-                preset.num_malicious
-                if spec.num_malicious is None
-                else spec.num_malicious
-            )
-            if spec.attack
-            else 0
-        )
-        config = preset.federation_config(
-            num_malicious=effective_malicious, num_clients=spec.num_clients
-        )
-        pretrained, pretrain_hit = self._pretrained(
-            preset, spec, building_name, data_key, train,
-            framework.model_factory, config,
-        )
         attack_factory = None
-        if spec.attack and effective_malicious > 0:
+        if spec.attack and config.num_malicious > 0:
             attack_factory = lambda: create_attack(
                 spec.attack, spec.epsilon, num_classes=building.num_rps
             )
@@ -961,10 +980,15 @@ class SweepEngine:
         )
 
     # -- stages ------------------------------------------------------------
-    def _data(
-        self, preset: Preset, building_name: str
-    ) -> Tuple[Building, FingerprintDataset, Dict[str, FingerprintDataset], str]:
-        key = content_key(
+    def _pretrain_stage(
+        self, preset: Preset, spec: ScenarioSpec, warm: bool = False
+    ):
+        """A federation cell's data and pre-train stages: ``(building,
+        tests, data_key, framework, config, pretrained, pretrain_hit)``;
+        ``warm`` skips both when the pre-train is already at hand."""
+        building_name = spec.building or preset.buildings[0]
+        building = preset.building(building_name)
+        data_key = content_key(
             {
                 "stage": "data",
                 "building": building_name,
@@ -973,23 +997,20 @@ class SweepEngine:
                 "ap_fraction": preset.ap_fraction,
             }
         )
-        building = preset.building(building_name)
-        bundle, _ = self.artifacts.get_datasets(
-            key, lambda: paper_protocol(building, seed=preset.seed)
+        framework = make_framework(
+            spec.framework,
+            building.num_aps,
+            building.num_rps,
+            seed=preset.seed,
+            **spec.kwargs,
         )
-        train, tests = bundle
-        return building, train, tests, key
-
-    def _pretrained(
-        self,
-        preset: Preset,
-        spec: ScenarioSpec,
-        building_name: str,
-        data_key: str,
-        train: FingerprintDataset,
-        model_factory: Callable,
-        config,
-    ):
+        malicious = spec.num_malicious
+        if malicious is None:
+            malicious = preset.num_malicious
+        config = preset.federation_config(
+            num_malicious=malicious if spec.attack else 0,
+            num_clients=spec.num_clients,
+        )
         neutral = PRETRAIN_NEUTRAL_KWARGS.get(spec.framework, frozenset())
         relevant_kwargs = {
             k: v for k, v in spec.framework_kwargs if k not in neutral
@@ -1003,12 +1024,10 @@ class SweepEngine:
             preset.compute_dtype,
             data_key,
         )
-        with self._sig_lock:
-            init_sig = self._sig_memo.get(sig_key)
+        init_sig = self._sig_memo.get(sig_key)
         if init_sig is None:
-            init_sig = state_signature(model_factory().state_dict())
-            with self._sig_lock:
-                self._sig_memo[sig_key] = init_sig
+            init_sig = state_signature(framework.model_factory().state_dict())
+            self._sig_memo[sig_key] = init_sig
         key = content_key(
             {
                 "stage": "pretrain",
@@ -1024,10 +1043,15 @@ class SweepEngine:
                 "init": init_sig,
             }
         )
+        if warm and self.artifacts.holds("pretrain", key):
+            return None
+        (train, tests), _ = self.artifacts.get_datasets(
+            data_key, lambda: paper_protocol(building, seed=preset.seed)
+        )
 
         def compute():
             # exactly FederatedServer.pretrain: same rng stream, same recipe
-            model = model_factory()
+            model = framework.model_factory()
             rng = SeedSequence(preset.seed).child("server").rng("pretrain")
             model.train_epochs(
                 train,
@@ -1039,7 +1063,11 @@ class SweepEngine:
             )
             return model.state_dict()
 
-        return self.artifacts.get_pretrained(key, compute)
+        pretrained, pretrain_hit = self.artifacts.get_pretrained(key, compute)
+        return (
+            building, tests, data_key, framework, config, pretrained,
+            pretrain_hit,
+        )
 
     def _round_cache(
         self,
@@ -1114,9 +1142,22 @@ class SweepEngine:
         )
 
 
+def _pretrain_identity(plan: SweepPlan, index: int) -> tuple:
+    """Cells of a plan with equal identities share one pre-trained GM."""
+    spec = plan.cells[index]
+    neutral = PRETRAIN_NEUTRAL_KWARGS.get(spec.framework, frozenset())
+    return (
+        spec.building or plan.preset.buildings[0],
+        spec.framework,
+        tuple(kv for kv in spec.framework_kwargs if kv[0] not in neutral),
+    )
+
+
 #: per-pool-worker engine memo keyed on construction knobs: every cell a
 #: worker process executes shares one in-memory artifact cache, so e.g.
-#: a worker that ran one ε cell reuses its data/pre-train for the next
+#: a worker that ran one ε cell reuses its data/pre-train for the next.
+#: A sweep registers its own engine here, so forked workers start from
+#: its memo.
 _WORKER_ENGINES: Dict[tuple, SweepEngine] = {}
 
 

@@ -276,7 +276,7 @@ class ProcessBackend(ExecutorBackend):
     def start(self) -> None:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                self._workers, mp_context=_pool_context()
+                max_workers=self._workers, mp_context=_pool_context()
             )
 
     def capacity(self) -> int:

@@ -235,6 +235,16 @@ def _check_rules(
     ]
 
 
+def current_preset(block: Any) -> Any:
+    """A spec's ``preset`` block as this build reads it, without the
+    ``max_workers`` key older builds saved for a retired thread-round
+    knob that never changed a result (dropped from a copy)."""
+    if isinstance(block, dict) and "max_workers" in block:
+        block = dict(block)
+        del block["max_workers"]
+    return block
+
+
 def validate_plan_payload(
     payload: Dict, source: Optional[str] = None
 ) -> None:
@@ -287,19 +297,15 @@ def validate_plan_payload(
             )
     if payload.get("engine") is not None:
         # scheduling and failure-policy hints for run_spec, never
-        # anything that could change the numbers
-        if _check_block(
+        # anything that could change the numbers; their combination is
+        # checked once run_spec merges them with the caller's options
+        _check_block(
             EngineOptions, payload["engine"], "engine", errors,
             SPEC_ENGINE_OPTIONS,
-        ) is not None:
-            errors.extend(
-                EngineOptions.problems(payload["engine"], _under("engine"))
-            )
-    if isinstance(payload.get("preset"), dict):
-        # older specs carry the retired, result-neutral thread-round knob
-        payload["preset"].pop("max_workers", None)
+        )
     preset = _check_block(
-        Preset, payload.get("preset"), "preset", errors, required="name"
+        Preset, current_preset(payload.get("preset")), "preset", errors,
+        required="name",
     )
     if preset is not None and preset["num_malicious"] > preset["num_clients"]:
         errors.append(

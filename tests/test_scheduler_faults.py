@@ -271,16 +271,24 @@ class TestEngineKnobValidation:
         with pytest.raises(ValueError):
             SweepEngine(chaos="not-a-token")
 
-    def test_cell_timeout_needs_a_process_pool(self):
-        for options in ({}, {"jobs": 2, "executor": "serial"}):
-            with pytest.raises(ValueError, match="needs a process pool"):
-                SweepEngine(
-                    cell_timeout=0.2,
-                    on_error="continue",
-                    chaos="0:hang:hang_s=1.5",
-                    **options,
-                )
-        SweepEngine(cell_timeout=0.2, jobs=1)  # one worker can be killed
+    def test_cell_timeout_without_jobs_is_enforced(self):
+        """A cell timeout without ``jobs`` runs cells on one killable
+        worker, so a hung cell times out instead of finishing inline."""
+        plan = SweepPlan(
+            name="hung",
+            preset=mini_preset(),
+            cells=(scenario("safeloc", attack="fgsm", epsilon=0.5),),
+        )
+        result = SweepEngine(
+            cell_timeout=0.2, on_error="continue", chaos="0:hang:hang_s=1.5"
+        ).run(plan)
+        assert result.timed_out == 1
+        assert [f.error_type for f in result.failures] == ["CellTimeout"]
+        assert (result.jobs, result.executor) == (1, "process")
+
+    def test_cell_timeout_with_serial_executor_is_rejected(self):
+        with pytest.raises(ValueError, match="needs the process executor"):
+            SweepEngine(cell_timeout=0.2, jobs=2, executor="serial")
 
     def test_report_names_the_backend_that_ran(self):
         plan = SweepPlan(

@@ -111,10 +111,14 @@ class TestGoldenFiles:
         older = tmp_path / "fig4.json"  # the golden file's earlier bytes
         older.write_text(payload_to_json(payload))
         current = load_plan(path)
+        untouched = copy.deepcopy(payload)
         for loaded in (
             load_plan(str(older)),
-            api.validate_spec(json.loads(older.read_text())),
+            api.validate_spec(payload),
+            SweepPlan.from_dict(payload),
         ):
+            # loading leaves the caller's payload as it was
+            assert payload == untouched
             assert loaded == current
             engine = SweepEngine()
             assert [engine._cell_key(loaded, c) for c in loaded.cells] == [
@@ -263,21 +267,23 @@ class TestValidation:
             "['serial', 'process']"
         ]
 
-    def test_cell_timeout_without_process_pool_rejected(self):
+    def test_cell_timeout_with_serial_executor_rejected(self):
         import repro.api as api
 
         path = os.path.join(GOLDEN_DIR, "fig4.json")
-        for options in ({}, {"jobs": 2, "executor": "serial"}):
-            with pytest.raises(ValueError, match="needs a process pool"):
-                api.run_spec(path, cell_timeout=5, **options)
-            payload = self.payload()
-            payload["engine"] = {"cell_timeout": 5, **options}
-            with pytest.raises(SpecValidationError) as excinfo:
-                validate_plan_payload(payload)
-            assert excinfo.value.errors == [
-                "engine.cell_timeout needs a process pool (engine.jobs) — "
-                "an inline cell cannot be preempted"
-            ]
+        with pytest.raises(ValueError, match="needs the process executor"):
+            api.run_spec(path, cell_timeout=5, executor="serial")
+        # hints are defaults for the caller's options, not a whole
+        # configuration: the spec is valid, the inline run is not
+        payload = self.payload()
+        payload["engine"] = {"cell_timeout": 5, "executor": "serial"}
+        validate_plan_payload(payload)
+        with pytest.raises(ValueError) as excinfo:
+            api.run_spec(payload)
+        assert str(excinfo.value) == (
+            "cell_timeout needs the process executor — executor serial "
+            "runs cells inline, where a cell cannot be preempted"
+        )
 
     def test_footprint_cells_need_shape(self):
         payload = build_plan("table1").to_dict()

@@ -368,6 +368,34 @@ class TestProcessExecutor:
         assert summaries_of(pooled) == summaries_of(reference)
         assert pooled.stats["pretrain"]["hits"] == len(pooled.cells)
 
+    def test_shared_stages_run_once_before_the_pool(self, reference):
+        """Data and pre-train shared by several cells are made once, in
+        the parent, and the forked workers reuse them."""
+        from repro.experiments import engine as engine_module
+
+        pooled = SweepEngine(jobs=2).run(eps_plan(mini_preset()))
+        assert summaries_of(pooled) == summaries_of(reference)
+        for stage in ("data", "pretrain"):
+            assert pooled.stats[stage] == {
+                "misses": 1, "hits": len(pooled.cells)
+            }
+        assert engine_module._WORKER_ENGINES == {}
+
+    def test_a_failing_shared_stage_fails_its_cells(self):
+        """A shared stage that raises before the pool forks is left to
+        its cells: the scheduler records them as failures."""
+        cells = tuple(
+            scenario(
+                "safeloc", attack="fgsm", epsilon=eps,
+                num_clients=2, num_malicious=3,
+            )
+            for eps in (0.1, 0.5)
+        )
+        plan = SweepPlan(name="bad", preset=mini_preset(), cells=cells)
+        result = SweepEngine(jobs=2, on_error="continue").run(plan)
+        assert result.cells == []
+        assert [f.error_type for f in result.failures] == ["ValueError"] * 2
+
     def test_resumed_cells_keep_requested_label(self, tmp_path):
         """Resume relabeling (cache keys are label-free) must survive
         pooled execution: resumed cells come back wearing the
